@@ -1,11 +1,14 @@
 package hw
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -220,18 +223,26 @@ func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
 		}
 		keys = append(keys, e)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
+	slices.SortFunc(keys, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
+	// Each edge hashes as "from>to:bw:setup:pj;", with the two float
+	// bit patterns as zero-padded 16-digit lowercase hex.
 	h := sha256.New()
+	var buf []byte
 	for _, e := range keys {
 		c := edges[e]
-		fmt.Fprintf(h, "%d>%d:%016x:%d:%016x;", e.From, e.To,
-			math.Float64bits(c.BandwidthBytesPerSec), c.SetupCycles,
-			math.Float64bits(c.EnergyPJPerByte))
+		buf = strconv.AppendInt(buf[:0], int64(e.From), 10)
+		buf = append(buf, '>')
+		buf = strconv.AppendInt(buf, int64(e.To), 10)
+		buf = append(buf, ':')
+		buf = appendHex64(buf, math.Float64bits(c.BandwidthBytesPerSec))
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(c.SetupCycles), 10)
+		buf = append(buf, ':')
+		buf = appendHex64(buf, math.Float64bits(c.EnergyPJPerByte))
+		buf = append(buf, ';')
+		h.Write(buf)
 	}
 	digest := hex.EncodeToString(h.Sum(nil))
 
@@ -243,6 +254,13 @@ func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
 	tableReg[digest] = cp
 	tableMu.Unlock()
 	return Network{Profile: NetTable, TableDigest: digest}, nil
+}
+
+// appendHex64 appends v as 16 lowercase hex digits, zero-padded.
+func appendHex64(dst []byte, v uint64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	return hex.AppendEncode(dst, b[:])
 }
 
 // lookupTable returns the registered table, or nil.

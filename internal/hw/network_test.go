@@ -97,6 +97,26 @@ func TestTableNetworkCanonicalDigest(t *testing.T) {
 	}
 }
 
+// The table digest keys every persisted table record, so its bytes are
+// part of the result-store format: a changed digest would orphan every
+// table record in an existing store. The value pins the rendering
+// "from>to:%016x:%d:%016x;" over (From, To)-sorted edges; the zero
+// pJ/B pins the hex zero-padding.
+func TestTableNetworkDigestPinned(t *testing.T) {
+	n, err := TableNetwork(map[Edge]LinkClass{
+		{From: 0, To: 1}:  MIPI(),
+		{From: 1, To: 0}:  MIPI().Slower(2),
+		{From: 1, To: 12}: {BandwidthBytesPerSec: 1.25e9}, // zero setup and pJ/B
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "bc96058ce1acf7c9ae13530945f9eaee0570268b948d0727b63d9d919147e342"
+	if n.TableDigest != want {
+		t.Errorf("table digest = %s, want %s", n.TableDigest, want)
+	}
+}
+
 func TestTableNetworkRejectsBadTables(t *testing.T) {
 	if _, err := TableNetwork(nil); err == nil {
 		t.Error("empty table accepted")

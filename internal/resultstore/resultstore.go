@@ -20,6 +20,11 @@
 //   - The log is append-only JSON lines with a per-record CRC. A
 //     truncated or corrupt record — a crashed writer, a torn page — is
 //     skipped (the configuration is simply re-simulated), never fatal.
+//   - A report record's header — kind, version, digest and CRC, in the
+//     exact layout json.Marshal gave the v3 record — is part of the
+//     format. Open builds the index from each record's header and CRC
+//     without decoding the report, Append encodes the report once, and
+//     a disk hit decodes it once.
 //   - Reports whose system routes over an explicit per-edge table
 //     (hw.NetTable) persist the table wiring alongside the entry, so a
 //     cold process rehydrates the registry before serving table-backed
@@ -37,14 +42,18 @@ package resultstore
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"mcudist/internal/core"
@@ -79,7 +88,8 @@ func Digest(sys core.System, wl core.Workload) string {
 	return fmt.Sprintf("v%d-%x", DigestVersion, h.Sum(nil))
 }
 
-// record is one line of the append-only log.
+// record is one table line of the append-only log, and the JSON view
+// of any line that is not a valid report line of this version.
 type record struct {
 	// Kind is "report" or "table".
 	Kind string `json:"kind"`
@@ -87,16 +97,78 @@ type record struct {
 	// records from other versions are ignored on read.
 	V int `json:"v"`
 
-	// Report records: the configuration digest, the CRC-32 (IEEE) of
-	// the raw report bytes, and the report itself.
-	Digest string          `json:"digest,omitempty"`
-	CRC    uint32          `json:"crc,omitempty"`
-	Report json.RawMessage `json:"report,omitempty"`
-
 	// Table records: the hw.TableNetwork content digest and the edge
 	// list needed to re-register it in a cold process.
 	Table string      `json:"table,omitempty"`
 	Edges []tableEdge `json:"edges,omitempty"`
+}
+
+// reportPrefix starts every report line of this version. A report
+// line is
+//
+//	{"kind":"report","v":3,"digest":"<digest>","crc":<crc>,"report":<report>}
+//
+// where <crc> is the CRC-32 (IEEE) of the compact <report> JSON and the
+// crc field is absent when that CRC is zero. This is byte for byte what
+// json.Marshal wrote for the v3 record struct, so the layout is part of
+// the v3 format.
+var reportPrefix = []byte(`{"kind":"report","v":` + strconv.Itoa(DigestVersion) + `,"digest":"`)
+
+// appendReportLine appends the report line for digest and the compact
+// report JSON body, newline included, to dst. The digest must need no
+// JSON escaping, as every Digest result does.
+func appendReportLine(dst []byte, digest string, body []byte) []byte {
+	// The rest of the header, a 10-digit CRC and the closing "}\n"
+	// take at most 30 bytes.
+	dst = slices.Grow(dst, len(reportPrefix)+len(digest)+len(body)+30)
+	dst = append(dst, reportPrefix...)
+	dst = append(dst, digest...)
+	dst = append(dst, '"')
+	if crc := crc32.ChecksumIEEE(body); crc != 0 {
+		dst = append(dst, `,"crc":`...)
+		dst = strconv.AppendUint(dst, uint64(crc), 10)
+	}
+	dst = append(dst, `,"report":`...)
+	dst = append(dst, body...)
+	return append(dst, "}\n"...)
+}
+
+// parseReportLine returns the digest and report body of one complete
+// report line of this version, its newline included. It decodes no
+// JSON: ok is true only when the line is exactly what appendReportLine
+// writes for that digest and body, so a torn, corrupt or
+// foreign-version line is never mistaken for a hit.
+func parseReportLine(line []byte) (digest, body []byte, ok bool) {
+	rest, found := bytes.CutPrefix(line, reportPrefix)
+	if !found {
+		return nil, nil, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end <= 0 {
+		return nil, nil, false
+	}
+	digest, rest = rest[:end], rest[end+1:]
+	var crc uint64
+	if r, found := bytes.CutPrefix(rest, []byte(`,"crc":`)); found {
+		n := 0
+		for ; n < len(r) && n <= 10 && '0' <= r[n] && r[n] <= '9'; n++ {
+			crc = crc*10 + uint64(r[n]-'0')
+		}
+		if n == 0 || r[0] == '0' || crc > math.MaxUint32 {
+			return nil, nil, false
+		}
+		rest = r[n:]
+	}
+	if body, found = bytes.CutPrefix(rest, []byte(`,"report":`)); !found {
+		return nil, nil, false
+	}
+	if body, found = bytes.CutSuffix(body, []byte("}\n")); !found {
+		return nil, nil, false
+	}
+	if crc32.ChecksumIEEE(body) != uint32(crc) {
+		return nil, nil, false
+	}
+	return digest, body, true
 }
 
 // tableEdge is one wired edge of a persisted per-edge link table.
@@ -181,42 +253,38 @@ func (s *Store) scan() error {
 	return nil
 }
 
-// indexLine parses one log line and folds it into the index; anything
-// unparseable is skipped.
+// indexLine folds one log line into the index: report lines from
+// their header and CRC alone, table lines by decoding them. Anything
+// else is skipped.
 func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) {
+	if !complete {
+		s.skipped++
+		return
+	}
+	if digest, _, ok := parseReportLine(line); ok {
+		s.index[string(digest)] = entryRef{offset: offset, length: length}
+		return
+	}
+	// Not a valid report line of this version: a table record, a
+	// record from another version, or damage.
 	var rec record
-	if !complete || json.Unmarshal(line, &rec) != nil {
+	if json.Unmarshal(line, &rec) != nil || rec.V != DigestVersion || rec.Kind != "table" {
 		s.skipped++
 		return
 	}
-	if rec.V != DigestVersion {
+	edges := make(map[hw.Edge]hw.LinkClass, len(rec.Edges))
+	for _, e := range rec.Edges {
+		edges[hw.Edge{From: e.From, To: e.To}] = e.Class
+	}
+	net, err := hw.TableNetwork(edges)
+	if err != nil || net.TableDigest != rec.Table {
+		// The wiring does not reproduce its recorded digest: the
+		// record is damaged. TableNetwork interned it under its
+		// actual content digest, which no entry references.
 		s.skipped++
 		return
 	}
-	switch rec.Kind {
-	case "report":
-		if rec.Digest == "" || crc32.ChecksumIEEE(rec.Report) != rec.CRC {
-			s.skipped++
-			return
-		}
-		s.index[rec.Digest] = entryRef{offset: offset, length: length}
-	case "table":
-		edges := make(map[hw.Edge]hw.LinkClass, len(rec.Edges))
-		for _, e := range rec.Edges {
-			edges[hw.Edge{From: e.From, To: e.To}] = e.Class
-		}
-		net, err := hw.TableNetwork(edges)
-		if err != nil || net.TableDigest != rec.Table {
-			// The wiring does not reproduce its recorded digest: the
-			// record is damaged. TableNetwork interned it under its
-			// actual content digest, which no entry references.
-			s.skipped++
-			return
-		}
-		s.tables[rec.Table] = true
-	default:
-		s.skipped++
-	}
+	s.tables[rec.Table] = true
 }
 
 // Load returns the persisted report for the configuration, or ok=false
@@ -239,16 +307,15 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	}
 	defer f.Close()
 	line := make([]byte, ref.length)
-	if _, err := io.ReadFull(io.NewSectionReader(f, ref.offset, int64(ref.length)), line); err != nil {
+	if _, err := f.ReadAt(line, ref.offset); err != nil {
 		return nil, false
 	}
-	var rec record
-	if json.Unmarshal(line, &rec) != nil ||
-		rec.Digest != digest || crc32.ChecksumIEEE(rec.Report) != rec.CRC {
+	d, body, ok := parseReportLine(line)
+	if !ok || string(d) != digest {
 		return nil, false
 	}
 	rep := &core.Report{}
-	if json.Unmarshal(rec.Report, rep) != nil {
+	if json.Unmarshal(body, rep) != nil {
 		return nil, false
 	}
 	// The requested configuration is the key; restating it exactly
@@ -286,25 +353,18 @@ func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) erro
 			return err
 		}
 	}
+	// json.Marshal output is already compact and HTML-escaped, so it
+	// goes into the line as is.
 	rb, err := json.Marshal(rep)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode report: %w", err)
 	}
-	line, err := json.Marshal(record{
-		Kind:   "report",
-		V:      DigestVersion,
-		Digest: digest,
-		CRC:    crc32.ChecksumIEEE(rb),
-		Report: rb,
-	})
-	if err != nil {
-		return fmt.Errorf("resultstore: encode record: %w", err)
-	}
+	line := appendReportLine(nil, digest, rb)
 	offset, err := s.writeLineLocked(line)
 	if err != nil {
 		return err
 	}
-	s.index[digest] = entryRef{offset: offset, length: len(line) + 1}
+	s.index[digest] = entryRef{offset: offset, length: len(line)}
 	return nil
 }
 
@@ -318,50 +378,43 @@ func (s *Store) appendTableLocked(tableDigest string) error {
 	if !ok {
 		return fmt.Errorf("resultstore: per-edge table %q is not registered", tableDigest)
 	}
-	rec := record{Kind: "table", V: DigestVersion, Table: tableDigest}
+	rec := record{Kind: "table", V: DigestVersion, Table: tableDigest,
+		Edges: make([]tableEdge, 0, len(edges))}
 	for e, c := range edges {
 		rec.Edges = append(rec.Edges, tableEdge{From: e.From, To: e.To, Class: c})
 	}
 	// Canonical edge order, matching hw.TableNetwork's digest walk.
-	sortEdges(rec.Edges)
+	slices.SortFunc(rec.Edges, func(a, b tableEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode table: %w", err)
 	}
-	if _, err := s.writeLineLocked(line); err != nil {
+	if _, err := s.writeLineLocked(append(line, '\n')); err != nil {
 		return err
 	}
 	s.tables[tableDigest] = true
 	return nil
 }
 
-func sortEdges(edges []tableEdge) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && (edges[j].From < edges[j-1].From ||
-			(edges[j].From == edges[j-1].From && edges[j].To < edges[j-1].To)); j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
-}
-
-// writeLineLocked appends one record line in a single write (atomic
-// under O_APPEND, so concurrent stores on the same directory never
-// interleave partial records) and returns the record's offset. If the
-// scan found the log ending mid-record — a writer died with its line
-// half flushed — the first append leads with a newline so the damaged
-// partial stays its own (skipped) line instead of swallowing this one.
+// writeLineLocked appends one record line, which ends in its newline,
+// in a single write (atomic under O_APPEND, so concurrent stores on the
+// same directory never interleave partial records) and returns the
+// record's offset. If the scan found the log ending mid-record — a
+// writer died with its line half flushed — the first append leads with
+// a newline so the damaged partial stays its own (skipped) line instead
+// of swallowing this one.
 func (s *Store) writeLineLocked(line []byte) (int64, error) {
 	offset, err := s.file.Seek(0, io.SeekEnd)
 	if err != nil {
 		return 0, fmt.Errorf("resultstore: %w", err)
 	}
-	buf := make([]byte, 0, len(line)+2)
 	if s.tornTail {
-		buf = append(buf, '\n')
+		line = append([]byte{'\n'}, line...)
 		offset++
 	}
-	buf = append(append(buf, line...), '\n')
-	if _, err := s.file.Write(buf); err != nil {
+	if _, err := s.file.Write(line); err != nil {
 		return 0, fmt.Errorf("resultstore: %w", err)
 	}
 	s.tornTail = false
@@ -395,8 +448,8 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 		tables = append(tables, t)
 	}
 	s.mu.Unlock()
-	sort.Strings(digests)
-	sort.Strings(tables)
+	slices.Sort(digests)
+	slices.Sort(tables)
 
 	dst, err := Open(dstDir)
 	if err != nil {
@@ -422,30 +475,24 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 	for _, digest := range digests {
 		ref := refs[digest]
 		line := make([]byte, ref.length)
-		if _, err := io.ReadFull(io.NewSectionReader(src, ref.offset, int64(ref.length)), line); err != nil {
+		if _, err := src.ReadAt(line, ref.offset); err != nil {
 			dst.file.Close()
 			return nil, fmt.Errorf("resultstore: compact read %s: %w", digest, err)
 		}
 		// Re-validate before copying: the record was clean at scan
 		// time, but the bytes travel once more.
-		var rec record
-		if json.Unmarshal(line, &rec) != nil || rec.Kind != "report" ||
-			rec.Digest != digest || crc32.ChecksumIEEE(rec.Report) != rec.CRC {
+		if d, _, ok := parseReportLine(line); !ok || string(d) != digest {
 			continue
-		}
-		trimmed := line
-		if n := len(trimmed); n > 0 && trimmed[n-1] == '\n' {
-			trimmed = trimmed[:n-1]
 		}
 		if _, ok := dst.index[digest]; ok {
 			continue
 		}
-		offset, err := dst.writeLineLocked(trimmed)
+		offset, err := dst.writeLineLocked(line)
 		if err != nil {
 			dst.file.Close()
 			return nil, err
 		}
-		dst.index[digest] = entryRef{offset: offset, length: len(trimmed) + 1}
+		dst.index[digest] = entryRef{offset: offset, length: len(line)}
 	}
 	return dst, nil
 }

@@ -1,8 +1,10 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -257,16 +259,29 @@ func TestDigestVersionMismatchInvalidates(t *testing.T) {
 // Reports on table-backed networks persist their per-edge wiring, so
 // the log is self-contained: reopening re-registers the table (and a
 // table record whose wiring does not reproduce its recorded digest is
-// rejected).
+// rejected). The 64-chip all-pairs table (4,032 edges) is the size
+// every resilience perturbation of a 64-chip board persists.
 func TestTableNetworkPersisted(t *testing.T) {
+	allPairs, err := hw.NetworkEdges(hw.UniformNetwork(hw.MIPI()), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		edges map[hw.Edge]hw.LinkClass
+	}{
+		{"pair", map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI(), {From: 1, To: 0}: hw.MIPI()}},
+		{"64-chip-all-pairs", allPairs},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testTablePersisted(t, tc.edges) })
+	}
+}
+
+func testTablePersisted(t *testing.T, edges map[hw.Edge]hw.LinkClass) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	edges := map[hw.Edge]hw.LinkClass{}
-	for _, e := range [][2]int{{0, 1}, {1, 0}} {
-		edges[hw.Edge{From: e[0], To: e[1]}] = hw.MIPI()
 	}
 	net, err := hw.TableNetwork(edges)
 	if err != nil {
@@ -282,9 +297,21 @@ func TestTableNetworkPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"kind":"table"`) ||
-		!strings.Contains(string(raw), net.TableDigest) {
-		t.Fatal("table wiring was not persisted next to the entry")
+	tableLine, _, _ := strings.Cut(string(raw), "\n")
+	var rec record
+	if err := json.Unmarshal([]byte(tableLine), &rec); err != nil ||
+		rec.Kind != "table" || rec.Table != net.TableDigest {
+		t.Fatal("table wiring was not persisted ahead of the entry")
+	}
+	if len(rec.Edges) != len(edges) {
+		t.Fatalf("persisted %d edges, want %d", len(rec.Edges), len(edges))
+	}
+	for i := 1; i < len(rec.Edges); i++ {
+		a, b := rec.Edges[i-1], rec.Edges[i]
+		if a.From > b.From || (a.From == b.From && a.To >= b.To) {
+			t.Fatalf("persisted edges out of (From, To) order at %d: %d>%d then %d>%d",
+				i, a.From, a.To, b.From, b.To)
+		}
 	}
 
 	s2, err := Open(dir)
@@ -293,6 +320,9 @@ func TestTableNetworkPersisted(t *testing.T) {
 	}
 	if s2.Skipped() != 0 {
 		t.Errorf("reopen skipped %d records", s2.Skipped())
+	}
+	if !s2.tables[net.TableDigest] {
+		t.Error("reopen did not re-register the table under its digest")
 	}
 	if got, ok := s2.Load(sys, wl); !ok || got.Cycles <= 0 {
 		t.Error("table-backed entry missed after reopen")
@@ -304,9 +334,6 @@ func TestTableNetworkPersisted(t *testing.T) {
 	// A table record with a forged digest must be skipped.
 	doctored := strings.Replace(string(raw), net.TableDigest[:8], "deadbeef", 1)
 	dir2 := t.TempDir()
-	if err := os.MkdirAll(dir2, 0o777); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(logPath(dir2), []byte(doctored), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -505,4 +532,76 @@ func TestCompactTo(t *testing.T) {
 	if re.Len() != 2 {
 		t.Errorf("reopened compacted store holds %d entries, want 2", re.Len())
 	}
+}
+
+// v3Record is the struct whose json.Marshal encoding defined the v3
+// report line. It is kept here as the reference the hand-written
+// encoder must match byte for byte.
+type v3Record struct {
+	Kind   string          `json:"kind"`
+	V      int             `json:"v"`
+	Digest string          `json:"digest,omitempty"`
+	CRC    uint32          `json:"crc,omitempty"`
+	Report json.RawMessage `json:"report,omitempty"`
+}
+
+// The line Append writes is the v3 record encoding byte for byte, so
+// logs written before and after the hand-written encoder mix freely,
+// and it parses back to its digest and report bytes.
+func TestAppendMatchesV3RecordEncoding(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, wl := testPoint(4)
+	rep := mustRun(t, sys, wl)
+	if err := s.Append(sys, wl, rep); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Digest(sys, wl)
+	want, err := json.Marshal(v3Record{Kind: "report", V: DigestVersion, Digest: d,
+		CRC: crc32.ChecksumIEEE(rb), Report: rb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(want)+"\n" {
+		t.Fatalf("Append wrote\n%s\nwant the v3 record encoding\n%s", raw, want)
+	}
+	gd, gb, ok := parseReportLine(raw)
+	if !ok || string(gd) != d || !bytes.Equal(gb, rb) {
+		t.Errorf("written line did not parse back (ok=%v, digest %q)", ok, gd)
+	}
+}
+
+// FuzzReportLine checks the report-line parser: it never panics, it
+// accepts only the exact line the encoder writes for the digest and
+// body it returns (version-stamped header, CRC of the body), and any
+// body written by the encoder parses back to itself.
+func FuzzReportLine(f *testing.F) {
+	sys, wl := testPoint(2)
+	digest := Digest(sys, wl)
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if d, body, ok := parseReportLine(line); ok {
+			if !bytes.HasPrefix(line, reportPrefix) {
+				t.Fatalf("accepted a line without the v%d report header: %q", DigestVersion, line)
+			}
+			if want := appendReportLine(nil, string(d), body); !bytes.Equal(line, want) {
+				t.Fatalf("accepted %q, which the encoder writes as %q", line, want)
+			}
+		}
+		written := appendReportLine(nil, digest, line)
+		d, body, ok := parseReportLine(written)
+		if !ok || string(d) != digest || !bytes.Equal(body, line) {
+			t.Fatalf("encoded line %q did not parse back (ok=%v)", written, ok)
+		}
+	})
 }
