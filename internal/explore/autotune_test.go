@@ -5,6 +5,7 @@ import (
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
+	"mcudist/internal/evalpool"
 	"mcudist/internal/hw"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
@@ -70,6 +71,31 @@ func TestAutotunePlanDecode64(t *testing.T) {
 	}
 	if res.Margin < 1 {
 		t.Errorf("margin %g < 1", res.Margin)
+	}
+}
+
+// AutotunePlan spells its all-same tuples exactly as the uniform
+// baselines, BestTopology and the frontiers spell a run topology, so
+// the 16-candidate grid costs 16 evaluations (12 mixed tuples plus the
+// 4 shared uniform points) and a following BestTopology on the same
+// system costs none.
+func TestAutotunePlanSharesUniformPoints(t *testing.T) {
+	base := core.DefaultSystem(64)
+	wl := core.Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt}
+	evalpool.ResetCache()
+	before := evalpool.Evaluations()
+	if _, err := AutotunePlan(base, wl); err != nil {
+		t.Fatal(err)
+	}
+	if got := evalpool.Evaluations() - before; got != 16 {
+		t.Errorf("AutotunePlan cost %d evaluations, want 16", got)
+	}
+	before = evalpool.Evaluations()
+	if _, _, err := BestTopology(base, wl); err != nil {
+		t.Fatal(err)
+	}
+	if got := evalpool.Evaluations() - before; got != 0 {
+		t.Errorf("BestTopology after AutotunePlan cost %d evaluations, want 0", got)
 	}
 }
 

@@ -2,17 +2,26 @@
 // simulator: given a model and a workload, it answers the sizing
 // questions the paper's scheme raises in practice — how many chips
 // until off-chip traffic leaves the critical path, which chip counts
-// are even legal for a geometry, and which configurations are
-// Pareto-optimal in latency and energy.
+// are even legal for a geometry, which configurations are
+// Pareto-optimal in latency and energy, and which collective plan and
+// tile shapes to deploy.
 //
-// Concurrency model: every search in this package evaluates its
-// candidates through the shared evalpool engine. Frontier fans its
-// whole point set out at once; the first-match searches
-// (MinChipsOffChipFree, BudgetFit) evaluate one worker-sized wave at
-// a time so an answer at a small chip count never pays for the large
-// ones. The sequential decision is always made over results in count
-// order, so answers are identical to the serial scan; repeated points
-// are served from the process-wide report cache.
+// Every search is spelled on one predict-then-verify core, search.go:
+// one canonical candidate order, one stable top-K rank over
+// predictions, one deduplicated exact evaluator, and the reductions
+// (first-minimum argmin, Pareto mask, rank concordance) applied to
+// the verified set. A search differs only in how it names its
+// candidates and which reduction it runs; the exact simulator always
+// decides, and predictions only choose what to verify.
+//
+// Concurrency model: every search evaluates its candidates through
+// the shared evalpool engine. The grid searches fan their whole point
+// set out at once; the first-match searches (MinChipsOffChipFree,
+// BudgetFit) evaluate one worker-sized wave at a time so an answer at
+// a small chip count never pays for the large ones. The sequential
+// decision is always made over results in count order, so answers are
+// identical to the serial scan; repeated points are served from the
+// process-wide report cache.
 package explore
 
 import (
@@ -115,93 +124,18 @@ func MinChipsOffChipFree(base core.System, wl core.Workload, maxChips int) (*Poi
 		maxChips, wl.Model.Name)
 }
 
-// gridEval is the shared evaluation step behind every frontier in
-// this package: it fans the whole candidate grid out through the
-// evalpool tiers and marks the latency/energy Pareto front across the
-// union. Each frontier differs only in how it spells its grid.
-func gridEval(points []evalpool.Point) ([]*core.Report, []bool, error) {
-	reports, err := evalpool.Map(points)
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: %w", err)
-	}
-	return reports, paretoMask(reports), nil
-}
-
 // Frontier evaluates the workload at the given chip counts and marks
 // the latency/energy Pareto front.
 func Frontier(base core.System, wl core.Workload, chips []int) ([]Point, error) {
-	pts := make([]evalpool.Point, len(chips))
-	for i, n := range chips {
-		sys := base
-		sys.Chips = n
-		pts[i] = evalpool.Point{System: sys, Workload: wl}
-	}
-	reports, pareto, err := gridEval(pts)
+	cells, err := grid(base, wl, chips, []hw.Topology{base.HW.Topology}, []hw.Network{base.HW.Network})
 	if err != nil {
 		return nil, err
 	}
-	points := make([]Point, len(chips))
-	for i, rep := range reports {
-		points[i] = Point{Chips: chips[i], Report: rep, Pareto: pareto[i]}
+	points := make([]Point, len(cells))
+	for i, c := range cells {
+		points[i] = Point{Chips: c.chips, Report: c.report, Pareto: c.pareto}
 	}
 	return points, nil
-}
-
-// markPareto flags points not dominated in (latency, energy).
-func markPareto(points []Point) {
-	reports := make([]*core.Report, len(points))
-	for i := range points {
-		reports[i] = points[i].Report
-	}
-	for i, p := range paretoMask(reports) {
-		points[i].Pareto = p
-	}
-}
-
-// paretoMask flags reports not dominated in (latency, energy): a
-// report is dominated when another is no worse on both axes and
-// strictly better on at least one; exact duplicates (equal latency AND
-// equal energy) do not dominate each other, so both stay on the front.
-//
-// Single pass over a latency-sorted order instead of the O(n²)
-// all-pairs scan: with candidates sorted by latency, a point can only
-// be dominated by the minimum energy seen at strictly lower latency,
-// or by a strictly lower energy at equal latency.
-func paretoMask(reports []*core.Report) []bool {
-	pareto := make([]bool, len(reports))
-	order := make([]int, len(reports))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := reports[order[a]], reports[order[b]]
-		if pa.Seconds != pb.Seconds {
-			return pa.Seconds < pb.Seconds
-		}
-		return pa.Energy.Total() < pb.Energy.Total()
-	})
-	bestEnergy := math.Inf(1) // min energy among strictly faster points
-	for g := 0; g < len(order); {
-		// One group of equal-latency points; within it only a strictly
-		// lower energy dominates, so the group minimum survives
-		// (duplicates of the minimum included).
-		sec := reports[order[g]].Seconds
-		end := g
-		groupMin := math.Inf(1)
-		for ; end < len(order) && reports[order[end]].Seconds == sec; end++ {
-			if e := reports[order[end]].Energy.Total(); e < groupMin {
-				groupMin = e
-			}
-		}
-		for ; g < end; g++ {
-			e := reports[order[g]].Energy.Total()
-			pareto[order[g]] = bestEnergy > e && groupMin >= e
-		}
-		if groupMin < bestEnergy {
-			bestEnergy = groupMin
-		}
-	}
-	return pareto
 }
 
 // ParetoFront returns only the Pareto-optimal points, ordered by
@@ -260,26 +194,14 @@ type TopologyPoint struct {
 // the chip count. Points are returned grouped by topology in enum
 // order, chip counts ascending within each topology.
 func TopologyFrontier(base core.System, wl core.Workload, chips []int) ([]TopologyPoint, error) {
-	topos := hw.Topologies()
-	points := make([]evalpool.Point, 0, len(topos)*len(chips))
-	out := make([]TopologyPoint, 0, len(topos)*len(chips))
-	for _, topo := range topos {
-		for _, n := range chips {
-			sys := base
-			sys.HW.Topology = topo
-			sys.Chips = n
-			points = append(points, evalpool.Point{System: sys, Workload: wl})
-			out = append(out, TopologyPoint{Topology: topo, Chips: n})
-		}
-	}
-	reports, pareto, err := gridEval(points)
+	cells, err := grid(base, wl, chips, hw.Topologies(), []hw.Network{base.HW.Network})
 	if err != nil {
 		return nil, err
 	}
-	for i, rep := range reports {
-		out[i].Report = rep
-		out[i].C2CCyclesByClass = classCycles(rep)
-		out[i].Pareto = pareto[i]
+	out := make([]TopologyPoint, len(cells))
+	for i, c := range cells {
+		out[i] = TopologyPoint{Topology: c.topo, Chips: c.chips, Report: c.report,
+			C2CCyclesByClass: classCycles(c.report), Pareto: c.pareto}
 	}
 	return out, nil
 }
@@ -308,29 +230,14 @@ type NetworkPoint struct {
 // are grouped by network in input order, then topology in enum order,
 // chip counts ascending.
 func NetworkFrontier(base core.System, wl core.Workload, chips []int, nets []hw.Network) ([]NetworkPoint, error) {
-	topos := hw.Topologies()
-	points := make([]evalpool.Point, 0, len(nets)*len(topos)*len(chips))
-	out := make([]NetworkPoint, 0, len(nets)*len(topos)*len(chips))
-	for _, net := range nets {
-		for _, topo := range topos {
-			for _, n := range chips {
-				sys := base
-				sys.HW.Network = net
-				sys.HW.Topology = topo
-				sys.Chips = n
-				points = append(points, evalpool.Point{System: sys, Workload: wl})
-				out = append(out, NetworkPoint{Topology: topo, Network: net, Chips: n})
-			}
-		}
-	}
-	reports, pareto, err := gridEval(points)
+	cells, err := grid(base, wl, chips, hw.Topologies(), nets)
 	if err != nil {
 		return nil, err
 	}
-	for i, rep := range reports {
-		out[i].Report = rep
-		out[i].C2CCyclesByClass = classCycles(rep)
-		out[i].Pareto = pareto[i]
+	out := make([]NetworkPoint, len(cells))
+	for i, c := range cells {
+		out[i] = NetworkPoint{Topology: c.topo, Network: c.net, Chips: c.chips, Report: c.report,
+			C2CCyclesByClass: classCycles(c.report), Pareto: c.pareto}
 	}
 	return out, nil
 }
@@ -342,24 +249,12 @@ func NetworkFrontier(base core.System, wl core.Workload, chips []int, nets []hw.
 // network's. Ties keep the earliest shape in enum order, so the
 // paper's tree wins exact draws.
 func BestTopology(base core.System, wl core.Workload) (hw.Topology, *core.Report, error) {
-	topos := hw.Topologies()
-	points := make([]evalpool.Point, len(topos))
-	for i, topo := range topos {
-		sys := base
-		sys.HW.Topology = topo
-		points[i] = evalpool.Point{System: sys, Workload: wl}
-	}
-	reports, err := evalpool.Map(points)
+	cells, err := grid(base, wl, []int{base.Chips}, hw.Topologies(), []hw.Network{base.HW.Network})
 	if err != nil {
-		return 0, nil, fmt.Errorf("explore: %w", err)
+		return 0, nil, err
 	}
-	best := 0
-	for i := 1; i < len(reports); i++ {
-		if reports[i].Cycles < reports[best].Cycles {
-			best = i
-		}
-	}
-	return topos[best], reports[best], nil
+	best := cells[argmin(len(cells), func(i int) float64 { return cells[i].report.Cycles })]
+	return best.topo, best.report, nil
 }
 
 // BudgetFit returns the cheapest (fewest-chip) configuration meeting

@@ -125,6 +125,19 @@ func paretoPoints(latEnergy [][2]float64) []Point {
 	return out
 }
 
+// markPareto flags points not dominated in (latency, energy) through
+// the package's paretoMask.
+func markPareto(points []Point) {
+	secs := make([]float64, len(points))
+	joules := make([]float64, len(points))
+	for i, p := range points {
+		secs[i], joules[i] = p.Report.Seconds, p.Report.Energy.Total()
+	}
+	for i, p := range paretoMask(secs, joules) {
+		points[i].Pareto = p
+	}
+}
+
 // markParetoReference is the original all-pairs domination scan, kept
 // as the semantic oracle for the sorted single-pass implementation.
 func markParetoReference(points []Point) {

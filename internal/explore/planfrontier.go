@@ -2,8 +2,9 @@ package explore
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
@@ -84,29 +85,16 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 		if err != nil {
 			return nil, 0, err
 		}
-		cands := enumerateSession(union, hw.Topologies())
-		exact, modeReports, err := sessionExhaustive(sys, modes, cands)
+		out, err := evalCands(sys, modes, planGrid(union, hw.Topologies()), true, "session grid")
 		if err != nil {
 			return nil, 0, err
 		}
-		out := make([]VerifiedPlan, len(cands))
-		for i, c := range cands {
-			reps := modeReports[i]
-			vp := VerifiedPlan{
-				Plan:            c.plan,
-				Cycles:          exact[i],
-				PredictedCycles: exact[i],
-				PrefillReport:   reps[0],
-				DecodeReport:    reps[len(reps)-1],
-			}
-			for _, rep := range reps {
-				vp.Seconds += rep.Seconds
-				vp.Joules += rep.Energy.Total()
-			}
-			vp.PredictedJoules = vp.Joules
-			out[i] = vp
+		// Nothing is predicted: the exact values stand in.
+		for i := range out {
+			vp := &out[i]
+			vp.PredictedCycles, vp.PredictedSeconds, vp.PredictedJoules = vp.Cycles, vp.Seconds, vp.Joules
 		}
-		return out, len(cands), nil
+		return out, len(out), nil
 	}
 
 	s, err := FitSurrogate(sys, cfg, sopts)
@@ -125,77 +113,67 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 	if topK <= 0 {
 		topK = DefaultSessionTopK
 	}
-	pick := map[int]bool{}
 	// Seed the verification set: the predicted top-K on each
 	// objective, plus the uniform plans — whose phase points are the
 	// surrogate's own probes, so they verify without new simulations
 	// and keep the scan honest against every single-topology baseline.
+	seed := map[int]bool{}
 	for _, pred := range [][]float64{predS, predJ} {
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		p := pred
-		sort.SliceStable(order, func(x, y int) bool { return p[order[x]] < p[order[y]] })
-		for k := 0; k < topK && k < len(order); k++ {
-			pick[order[k]] = true
+		for _, i := range rankByCost(pred, topK) {
+			seed[i] = true
 		}
 	}
 	nTopos := len(hw.Topologies())
 	for ti := 0; ti < nTopos; ti++ {
-		pick[allSameIndex(ti, len(s.union), nTopos)] = true
+		seed[allSameIndex(ti, len(s.union), nTopos)] = true
 	}
+	band := slices.Sorted(maps.Keys(seed))
 
-	verify := func(sel []int) ([]VerifiedPlan, error) {
-		plans := make([]collective.Plan, len(sel))
-		for j, i := range sel {
+	// Verify the band, then refine to the exact Pareto edge: the
+	// additive prediction misses within-phase interactions, so
+	// near-ties can hide true front members. Bound the model's error
+	// by twice the largest residual observed on the verified points,
+	// and exactly verify every candidate whose optimistic corner
+	// (prediction minus that bound) is not dominated by an
+	// already-verified exact point — if its prediction can still reach
+	// the front, it gets measured. Repeat until the band is empty;
+	// each verified point also tightens what "can still reach" means.
+	// The phase-restricted verification spellings share simulations
+	// heavily (topologies^per-phase-classes distinct points per phase
+	// in the worst case), so even a degenerate band stays far below
+	// the as-deployed grid bill.
+	got := map[int]VerifiedPlan{}
+	for len(band) > 0 {
+		plans := make([]collective.Plan, len(band))
+		for j, i := range band {
 			plans[j] = cands[i]
 		}
-		return s.Verify(sys, plans)
-	}
-	sel := make([]int, 0, len(pick))
-	for i := range cands {
-		if pick[i] {
-			sel = append(sel, i)
+		verified, err := s.Verify(sys, plans)
+		if err != nil {
+			return nil, 0, err
 		}
-	}
-	verified, err := verify(sel)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Refine to the exact Pareto edge: the additive prediction misses
-	// within-phase interactions, so near-ties can hide true front
-	// members. Bound the model's error by twice the largest residual
-	// observed on the verified points, and exactly verify every
-	// candidate whose optimistic corner (prediction minus that bound)
-	// is not dominated by an already-verified exact point — if its
-	// prediction can still reach the front, it gets measured. Repeat
-	// until the band is empty; each verified point also tightens what
-	// "can still reach" means. The phase-restricted verification
-	// spellings share simulations heavily (topologies^per-phase-classes
-	// distinct points per phase in the worst case), so even a
-	// degenerate band stays far below the as-deployed grid bill.
-	for {
+		for j, i := range band {
+			got[i] = verified[j]
+		}
 		var errS, errJ float64
-		for k, vp := range verified {
-			if d := math.Abs(predS[sel[k]] - vp.Seconds); d > errS {
+		for i, vp := range got {
+			if d := math.Abs(predS[i] - vp.Seconds); d > errS {
 				errS = d
 			}
-			if d := math.Abs(predJ[sel[k]] - vp.Joules); d > errJ {
+			if d := math.Abs(predJ[i] - vp.Joules); d > errJ {
 				errJ = d
 			}
 		}
 		errS *= 2
 		errJ *= 2
-		var band []int
+		band = band[:0]
 		for i := range cands {
-			if pick[i] {
+			if _, ok := got[i]; ok {
 				continue
 			}
 			cornerS, cornerJ := predS[i]-errS, predJ[i]-errJ
 			dominated := false
-			for _, vp := range verified {
+			for _, vp := range got {
 				if (vp.Seconds < cornerS && vp.Joules <= cornerJ) ||
 					(vp.Seconds <= cornerS && vp.Joules < cornerJ) {
 					dominated = true
@@ -206,30 +184,15 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 				band = append(band, i)
 			}
 		}
-		if len(band) == 0 {
-			break
-		}
-		more, err := verify(band)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, i := range band {
-			pick[i] = true
-		}
-		sel = append(sel, band...)
-		verified = append(verified, more...)
 	}
 
 	// Return in candidate enumeration order, so output is independent
 	// of the refinement's round structure.
-	order := make([]int, len(sel))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sel[order[a]] < sel[order[b]] })
-	out := make([]VerifiedPlan, len(order))
-	for j, k := range order {
-		out[j] = verified[k]
+	out := make([]VerifiedPlan, 0, len(got))
+	for i := range cands {
+		if vp, ok := got[i]; ok {
+			out = append(out, vp)
+		}
 	}
 	return out, len(cands), nil
 }
@@ -273,47 +236,11 @@ func PlanFrontier(base core.System, cfg model.Config, chips []int, opts PlanFron
 	for i, p := range res.Points {
 		secs[i], jls[i] = p.Seconds, p.Joules
 	}
-	for i, pareto := range sessionParetoMask(secs, jls) {
+	for i, pareto := range paretoMask(secs, jls) {
 		res.Points[i].Pareto = pareto
 	}
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// sessionParetoMask is paretoMask over explicit (seconds, joules)
-// session objectives (frontier reports carry one phase each; a
-// session point aggregates two).
-func sessionParetoMask(secs, jls []float64) []bool {
-	pareto := make([]bool, len(secs))
-	order := make([]int, len(secs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if secs[order[a]] != secs[order[b]] {
-			return secs[order[a]] < secs[order[b]]
-		}
-		return jls[order[a]] < jls[order[b]]
-	})
-	bestEnergy := math.Inf(1)
-	for g := 0; g < len(order); {
-		sec := secs[order[g]]
-		end := g
-		groupMin := math.Inf(1)
-		for ; end < len(order) && secs[order[end]] == sec; end++ {
-			if e := jls[order[end]]; e < groupMin {
-				groupMin = e
-			}
-		}
-		for ; g < end; g++ {
-			e := jls[order[g]]
-			pareto[order[g]] = bestEnergy > e && groupMin >= e
-		}
-		if groupMin < bestEnergy {
-			bestEnergy = groupMin
-		}
-	}
-	return pareto
 }
 
 // PlanBudgetFit is BudgetFit rewired onto the surrogate: it returns

@@ -92,6 +92,15 @@ func TestPlanFrontierMatchesExhaustive8(t *testing.T) {
 			exact.Candidates, exact.GridSims)
 	}
 	comparePlanFronts(t, surrogate, exact)
+	// The exhaustive scan predicts nothing, so every prediction field
+	// must carry the exact value.
+	for _, p := range exact.Points {
+		if p.PredictedCycles != p.Cycles || p.PredictedSeconds != p.Seconds || p.PredictedJoules != p.Joules {
+			t.Errorf("exhaustive plan %s: predicted (%g cyc, %g s, %g J) != exact (%g cyc, %g s, %g J)",
+				p.Plan, p.PredictedCycles, p.PredictedSeconds, p.PredictedJoules, p.Cycles, p.Seconds, p.Joules)
+			break
+		}
+	}
 }
 
 // The same equivalence at the paper's 64-chip scaled point — the

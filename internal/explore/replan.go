@@ -36,22 +36,12 @@ func EvalSessionPlan(sys core.System, cfg model.Config, plan collective.Plan, op
 	if err != nil {
 		return nil, err
 	}
-	sys.Options.SyncPlan = plan
-	pts := make([]evalpool.Point, len(modes))
-	for i, m := range modes {
-		pts[i] = evalpool.Point{System: sys, Workload: m.wl}
-	}
-	reports, err := evalpool.Map(pts)
+	verified, err := evalCands(sys, modes, []collective.Plan{plan}, true, "session plan eval")
 	if err != nil {
-		return nil, fmt.Errorf("explore: session plan eval: %w", err)
+		return nil, err
 	}
-	var cost SessionCost
-	for _, rep := range reports {
-		cost.Cycles += rep.Cycles
-		cost.Seconds += rep.Seconds
-		cost.Joules += rep.Energy.Total()
-	}
-	return &cost, nil
+	vp := verified[0]
+	return &SessionCost{Cycles: vp.Cycles, Seconds: vp.Seconds, Joules: vp.Joules}, nil
 }
 
 // ReplanResult compares serving a stale plan on a degraded system

@@ -2,7 +2,7 @@ package explore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
@@ -166,91 +166,6 @@ func sessionModes(base core.System, cfg model.Config, opts SessionOptions) ([]se
 	return modes, union, nil
 }
 
-// sessionModePoint spells one phase's exact evaluation under a binding
-// choice. All of the phase's classes on one topology collapse to the
-// zero-plan + run-topology spelling, sharing cache entries with the
-// uniform baselines, BestTopology, and the frontier sweeps; mixed
-// tuples bind the phase's classes explicitly, matching AutotunePlan's
-// grid spelling. The base system's own SyncPlan is overridden either
-// way.
-func sessionModePoint(base core.System, m sessionMode, pick func(collective.SyncClass) hw.Topology) evalpool.Point {
-	sys := base
-	same := true
-	t0 := pick(m.classes[0])
-	for _, c := range m.classes[1:] {
-		if pick(c) != t0 {
-			same = false
-			break
-		}
-	}
-	if same {
-		sys.Options.SyncPlan = collective.Plan{}
-		sys.HW.Topology = t0
-	} else {
-		var p collective.Plan
-		for _, c := range m.classes {
-			p = p.With(c, pick(c))
-		}
-		sys.Options.SyncPlan = p
-	}
-	return evalpool.Point{System: sys, Workload: m.wl}
-}
-
-// sessionEval collects evaluation points with deduplication, so one
-// Map call serves every distinct configuration of a stage.
-type sessionEval struct {
-	points []evalpool.Point
-	index  map[evalpool.Point]int
-}
-
-func newSessionEval() *sessionEval {
-	return &sessionEval{index: map[evalpool.Point]int{}}
-}
-
-func (se *sessionEval) add(pt evalpool.Point) int {
-	if i, ok := se.index[pt]; ok {
-		return i
-	}
-	i := len(se.points)
-	se.points = append(se.points, pt)
-	se.index[pt] = i
-	return i
-}
-
-// sessionCand is one joint candidate: its topology index per union
-// class (odometer order, first index cycling fastest — the same
-// enumeration AutotunePlan uses, so ties keep the earliest candidate
-// and the paper's tree wins exact draws) and the fully bound plan.
-type sessionCand struct {
-	idx  []int
-	plan collective.Plan
-}
-
-// enumerateSession builds the joint grid over the union classes.
-func enumerateSession(union []collective.SyncClass, topos []hw.Topology) []sessionCand {
-	var cands []sessionCand
-	idx := make([]int, len(union))
-	for {
-		var p collective.Plan
-		for i, c := range union {
-			p = p.With(c, topos[idx[i]])
-		}
-		cands = append(cands, sessionCand{idx: append([]int(nil), idx...), plan: p})
-		j := 0
-		for ; j < len(idx); j++ {
-			idx[j]++
-			if idx[j] < len(topos) {
-				break
-			}
-			idx[j] = 0
-		}
-		if j == len(idx) {
-			break
-		}
-	}
-	return cands
-}
-
 // AutotuneSession tunes the per-sync collective plan of a whole
 // generation session — one prompt prefill plus one autoregressive
 // decode step at the paper's sequence lengths — jointly over the full
@@ -278,229 +193,92 @@ func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*
 	if refIdx < 0 {
 		return nil, fmt.Errorf("explore: %s is not a supported topology", base.HW.Topology)
 	}
-	cands := enumerateSession(union, topos)
-
+	cands := odometer(len(union), len(topos))
 	res := &SessionResult{
 		Candidates: len(cands),
 		GridSims:   2 * len(cands),
 		Network:    base.HW.Network,
 	}
-	var exact map[int]float64              // candidate index -> exact session cycles
-	var modeReports map[int][]*core.Report // candidate index -> per-phase reports
-	var predicted []float64
-	var verifyOrder []int
 
-	if opts.Exhaustive {
-		exact, modeReports, err = sessionExhaustive(base, modes, cands)
-		if err != nil {
-			return nil, err
-		}
-		for i := range cands {
-			verifyOrder = append(verifyOrder, i)
-		}
-	} else {
+	// Select what to verify, in odometer order: everything, as
+	// deployed, under Exhaustive; otherwise the predicted top-K plus
+	// the uniform sessions, which verify for free (their phase points
+	// are the surrogate's own probes) and guarantee the winner never
+	// loses to a uniform plan.
+	var predicted []float64
+	sel := indices(len(cands))
+	if !opts.Exhaustive {
 		pred, err := fitSurrogate(base, modes, union, topos, refIdx)
 		if err != nil {
 			return nil, err
 		}
 		res.Costs = pred.costs
 		predicted = make([]float64, len(cands))
-		for i, c := range cands {
-			predicted[i] = pred.predictCycles(c.idx)
+		for i, idx := range cands {
+			predicted[i] = pred.predict(idx)[objCycles]
 		}
-		// Rank by predicted cost; ties keep enumeration order.
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if predicted[order[a]] != predicted[order[b]] {
-				return predicted[order[a]] < predicted[order[b]]
-			}
-			return order[a] < order[b]
-		})
 		topK := opts.TopK
 		if topK <= 0 {
 			topK = DefaultSessionTopK
 		}
-		if topK > len(order) {
-			topK = len(order)
-		}
-		verifyOrder = append(verifyOrder, order[:topK]...)
-		// The uniform sessions verify for free — their zero-plan
-		// spellings are the margin baseline's own points — and pinning
-		// them in the verified set guarantees the winner never loses to
-		// a uniform plan.
-		inSet := map[int]bool{}
-		for _, i := range verifyOrder {
-			inSet[i] = true
-		}
+		sel = rankByCost(predicted, topK)
 		for ti := range topos {
-			if i := allSameIndex(ti, len(union), len(topos)); !inSet[i] {
-				inSet[i] = true
-				verifyOrder = append(verifyOrder, i)
+			if i := allSameIndex(ti, len(union), len(topos)); !slices.Contains(sel, i) {
+				sel = append(sel, i)
 			}
 		}
-		exact, modeReports, err = sessionVerify(base, modes, cands, verifyOrder)
-		if err != nil {
-			return nil, err
-		}
+		slices.Sort(sel)
+	}
+	plans := make([]collective.Plan, len(sel))
+	for k, i := range sel {
+		plans[k] = bind(union, topos, cands[i])
+	}
+	verified, err := evalCands(base, modes, plans, opts.Exhaustive, "session verify")
+	if err != nil {
+		return nil, err
 	}
 
 	// Winner: fewest exact session cycles among the verified
-	// candidates; ties keep the earliest candidate in enumeration
-	// order.
-	best := -1
-	for _, i := range verifyOrder {
-		if best < 0 || exact[i] < exact[best] || (exact[i] == exact[best] && i < best) {
-			best = i
-		}
-	}
-	res.Plan = cands[best].plan
-	res.Cycles = exact[best]
-	res.PrefillReport = modeReports[best][0]
-	res.DecodeReport = modeReports[best][1]
+	// candidates; ties keep the earliest candidate in odometer order.
+	best := argmin(len(verified), func(k int) float64 { return verified[k].Cycles })
+	win := verified[best]
+	res.Plan, res.Cycles = win.Plan, win.Cycles
+	res.PrefillReport, res.DecodeReport = win.PrefillReport, win.DecodeReport
+	res.PerClass = perClass(win.Plan, union)
 	if opts.Exhaustive {
 		res.PredictedCycles = res.Cycles
 		res.RankAccuracy = 1
 	} else {
-		res.PredictedCycles = predicted[best]
-		for _, i := range verifyOrder {
-			res.Verified = append(res.Verified, SessionCandidate{
-				Plan:            cands[i].plan,
-				PredictedCycles: predicted[i],
-				Cycles:          exact[i],
-			})
+		// The verified table in predicted order. Ties keep odometer
+		// order, as in the top-K rank that chose them.
+		selPred := make([]float64, len(sel))
+		for k, i := range sel {
+			selPred[k] = predicted[i]
 		}
-		sort.SliceStable(res.Verified, func(a, b int) bool {
-			return res.Verified[a].PredictedCycles < res.Verified[b].PredictedCycles
-		})
-		res.RankAccuracy = rankConcordance(res.Verified)
-	}
-	for _, c := range union {
-		topo, _ := res.Plan.Explicit(c)
-		res.PerClass = append(res.PerClass, ClassChoice{Class: c, Topology: topo})
+		res.PredictedCycles = selPred[best]
+		exact := make([]float64, 0, len(sel))
+		for _, k := range rankByCost(selPred, 0) {
+			res.Verified = append(res.Verified, SessionCandidate{
+				Plan:            verified[k].Plan,
+				PredictedCycles: selPred[k],
+				Cycles:          verified[k].Cycles,
+			})
+			exact = append(exact, verified[k].Cycles)
+		}
+		res.RankAccuracy = concordance(exact)
 	}
 	// Best uniform session: the all-same candidates are always
 	// verified (exhaustive trivially includes them).
-	uniBest := -1
-	for ti := range topos {
-		i := allSameIndex(ti, len(union), len(topos))
-		if uniBest < 0 || exact[i] < exact[allSameIndex(uniBest, len(union), len(topos))] {
-			uniBest = ti
-		}
+	uniform := func(ti int) float64 {
+		k, _ := slices.BinarySearch(sel, allSameIndex(ti, len(union), len(topos)))
+		return verified[k].Cycles
 	}
-	res.BestUniform = topos[uniBest]
-	res.UniformCycles = exact[allSameIndex(uniBest, len(union), len(topos))]
+	uni := argmin(len(topos), uniform)
+	res.BestUniform = topos[uni]
+	res.UniformCycles = uniform(uni)
 	res.Margin = res.UniformCycles / res.Cycles
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// allSameIndex is the enumeration index of the candidate binding every
-// class to topology ti: with the first class's index cycling fastest,
-// that is ti summed over every digit's place value.
-func allSameIndex(ti, classes, topos int) int {
-	idx, place := 0, 1
-	for k := 0; k < classes; k++ {
-		idx += ti * place
-		place *= topos
-	}
-	return idx
-}
-
-// sessionVerify evaluates the selected candidates exactly, one
-// phase-restricted point per phase (so probe and uniform points are
-// reused from the cache), and returns exact session cycles plus the
-// per-phase reports.
-func sessionVerify(base core.System, modes []sessionMode, cands []sessionCand, sel []int) (map[int]float64, map[int][]*core.Report, error) {
-	ev := newSessionEval()
-	pts := make(map[int][]int, len(sel))
-	for _, i := range sel {
-		c := cands[i]
-		ids := make([]int, len(modes))
-		for mi, m := range modes {
-			cc := c
-			ids[mi] = ev.add(sessionModePoint(base, m, func(x collective.SyncClass) hw.Topology {
-				t, _ := cc.plan.Explicit(x)
-				return t
-			}))
-		}
-		pts[i] = ids
-	}
-	reports, err := evalpool.Map(ev.points)
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: session verify: %w", err)
-	}
-	exact := make(map[int]float64, len(sel))
-	modeReports := make(map[int][]*core.Report, len(sel))
-	for i, ids := range pts {
-		var sum float64
-		reps := make([]*core.Report, len(ids))
-		for mi, id := range ids {
-			reps[mi] = reports[id]
-			sum += reports[id].Cycles
-		}
-		exact[i] = sum
-		modeReports[i] = reps
-	}
-	return exact, modeReports, nil
-}
-
-// sessionExhaustive evaluates every joint candidate as deployed: the
-// fully merged plan rides in both phases' cache keys, which is exactly
-// how a user runs the plan — and why the naive grid costs
-// 2 × candidates simulations (phase results that cannot depend on the
-// other phase's bindings still occupy distinct cache entries). This is
-// the ground truth the pruned search is held to.
-func sessionExhaustive(base core.System, modes []sessionMode, cands []sessionCand) (map[int]float64, map[int][]*core.Report, error) {
-	ev := newSessionEval()
-	pts := make(map[int][]int, len(cands))
-	for i, c := range cands {
-		sys := base
-		sys.Options.SyncPlan = c.plan
-		ids := make([]int, len(modes))
-		for mi, m := range modes {
-			ids[mi] = ev.add(evalpool.Point{System: sys, Workload: m.wl})
-		}
-		pts[i] = ids
-	}
-	reports, err := evalpool.Map(ev.points)
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: session grid: %w", err)
-	}
-	exact := make(map[int]float64, len(cands))
-	modeReports := make(map[int][]*core.Report, len(cands))
-	for i, ids := range pts {
-		var sum float64
-		reps := make([]*core.Report, len(ids))
-		for mi, id := range ids {
-			reps[mi] = reports[id]
-			sum += reports[id].Cycles
-		}
-		exact[i] = sum
-		modeReports[i] = reps
-	}
-	return exact, modeReports, nil
-}
-
-// rankConcordance is the fraction of verified candidate pairs whose
-// exact ordering agrees with the predicted ordering (list is in
-// predicted order; exact ties count as concordant).
-func rankConcordance(v []SessionCandidate) float64 {
-	if len(v) < 2 {
-		return 1
-	}
-	pairs, ok := 0, 0
-	for i := 0; i < len(v); i++ {
-		for j := i + 1; j < len(v); j++ {
-			pairs++
-			if v[i].Cycles <= v[j].Cycles {
-				ok++
-			}
-		}
-	}
-	return float64(ok) / float64(pairs)
 }
 
 // AutotuneSessionNetworks folds the network axis into the session

@@ -5,7 +5,6 @@ import (
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
-	"mcudist/internal/evalpool"
 	"mcudist/internal/hw"
 	"mcudist/internal/model"
 )
@@ -37,27 +36,27 @@ type Surrogate struct {
 	pos    map[collective.SyncClass]int // union class -> candidate index position
 
 	// Per-phase all-reference baselines and per (phase, class,
-	// topology) measured deltas, for both objectives. The energy model
-	// reads the same probe reports the cycle model does — the second
-	// objective is free.
-	baseCycles  []float64
-	baseSecs    []float64
-	baseJoules  []float64
-	deltaCycles []map[collective.SyncClass][]float64
-	deltaSecs   []map[collective.SyncClass][]float64
-	deltaJoules []map[collective.SyncClass][]float64
+	// topology) measured deltas, one entry per objective. The energy
+	// model reads the same probe reports the cycle model does — the
+	// second objective is free.
+	base  [][numObjectives]float64
+	delta []map[collective.SyncClass][][numObjectives]float64
 
 	costs []ClassCost
 }
 
-// topoIndex locates t in topos, or -1.
-func topoIndex(topos []hw.Topology, t hw.Topology) int {
-	for i, tt := range topos {
-		if tt == t {
-			return i
-		}
-	}
-	return -1
+// The surrogate's objectives, indexing its baselines, deltas and
+// predictions.
+const (
+	objCycles = iota
+	objSeconds
+	objJoules
+	numObjectives
+)
+
+// objectives reads a report's cost on every objective.
+func objectives(rep *core.Report) [numObjectives]float64 {
+	return [numObjectives]float64{rep.Cycles, rep.Seconds, rep.Energy.Total()}
 }
 
 // FitSurrogate fits the additive session cost model for the base
@@ -83,7 +82,14 @@ func FitSurrogate(base core.System, cfg model.Config, opts SessionOptions) (*Sur
 // model.
 func fitSurrogate(base core.System, modes []sessionMode, union []collective.SyncClass, topos []hw.Topology, refIdx int) (*Surrogate, error) {
 	ref := topos[refIdx]
-	ev := newSessionEval()
+	same := func(t hw.Topology) collective.Plan {
+		var p collective.Plan
+		for _, c := range union {
+			p = p.With(c, t)
+		}
+		return p
+	}
+	var ev evalSet
 	uniform := make([][]int, len(modes))
 	type probeRef struct {
 		mode  int
@@ -95,41 +101,30 @@ func fitSurrogate(base core.System, modes []sessionMode, union []collective.Sync
 	for mi, m := range modes {
 		uniform[mi] = make([]int, len(topos))
 		for ti, t := range topos {
-			tt := t
-			uniform[mi][ti] = ev.add(sessionModePoint(base, m, func(collective.SyncClass) hw.Topology { return tt }))
+			uniform[mi][ti] = ev.add(sessionModePoint(base, m, same(t)))
 		}
 		for _, c := range m.classes {
 			for ti, t := range topos {
 				if ti == refIdx {
 					continue
 				}
-				cc, tt := c, t
-				pt := ev.add(sessionModePoint(base, m, func(x collective.SyncClass) hw.Topology {
-					if x == cc {
-						return tt
-					}
-					return ref
-				}))
+				pt := ev.add(sessionModePoint(base, m, same(ref).With(c, t)))
 				probes = append(probes, probeRef{mode: mi, class: c, topo: ti, point: pt})
 			}
 		}
 	}
-	reports, err := evalpool.Map(ev.points)
+	reports, err := ev.run("surrogate probes")
 	if err != nil {
-		return nil, fmt.Errorf("explore: surrogate probes: %w", err)
+		return nil, err
 	}
 	s := &Surrogate{
-		modes:       modes,
-		union:       union,
-		topos:       topos,
-		refIdx:      refIdx,
-		pos:         make(map[collective.SyncClass]int, len(union)),
-		baseCycles:  make([]float64, len(modes)),
-		baseSecs:    make([]float64, len(modes)),
-		baseJoules:  make([]float64, len(modes)),
-		deltaCycles: make([]map[collective.SyncClass][]float64, len(modes)),
-		deltaSecs:   make([]map[collective.SyncClass][]float64, len(modes)),
-		deltaJoules: make([]map[collective.SyncClass][]float64, len(modes)),
+		modes:  modes,
+		union:  union,
+		topos:  topos,
+		refIdx: refIdx,
+		pos:    make(map[collective.SyncClass]int, len(union)),
+		base:   make([][numObjectives]float64, len(modes)),
+		delta:  make([]map[collective.SyncClass][][numObjectives]float64, len(modes)),
 	}
 	for i, c := range union {
 		s.pos[c] = i
@@ -143,34 +138,30 @@ func fitSurrogate(base core.System, modes []sessionMode, union []collective.Sync
 		return 0
 	}
 	for mi, m := range modes {
-		s.baseCycles[mi] = reports[uniform[mi][refIdx]].Cycles
-		s.baseSecs[mi] = reports[uniform[mi][refIdx]].Seconds
-		s.baseJoules[mi] = reports[uniform[mi][refIdx]].Energy.Total()
-		s.deltaCycles[mi] = map[collective.SyncClass][]float64{}
-		s.deltaSecs[mi] = map[collective.SyncClass][]float64{}
-		s.deltaJoules[mi] = map[collective.SyncClass][]float64{}
+		refRep := reports[uniform[mi][refIdx]]
+		s.base[mi] = objectives(refRep)
+		s.delta[mi] = map[collective.SyncClass][][numObjectives]float64{}
 		for _, c := range m.classes {
-			s.deltaCycles[mi][c] = make([]float64, len(topos))
-			s.deltaSecs[mi][c] = make([]float64, len(topos))
-			s.deltaJoules[mi][c] = make([]float64, len(topos))
+			s.delta[mi][c] = make([][numObjectives]float64, len(topos))
 			s.costs = append(s.costs, ClassCost{
 				Mode:      m.wl.Mode,
 				Class:     c,
 				Topology:  ref,
-				C2CCycles: classC2C(reports[uniform[mi][refIdx]], c),
+				C2CCycles: classC2C(refRep, c),
 			})
 		}
 	}
 	for _, pr := range probes {
 		rep := reports[pr.point]
-		s.deltaCycles[pr.mode][pr.class][pr.topo] = rep.Cycles - s.baseCycles[pr.mode]
-		s.deltaSecs[pr.mode][pr.class][pr.topo] = rep.Seconds - s.baseSecs[pr.mode]
-		s.deltaJoules[pr.mode][pr.class][pr.topo] = rep.Energy.Total() - s.baseJoules[pr.mode]
+		d := &s.delta[pr.mode][pr.class][pr.topo]
+		for o, v := range objectives(rep) {
+			d[o] = v - s.base[pr.mode][o]
+		}
 		s.costs = append(s.costs, ClassCost{
 			Mode:        modes[pr.mode].wl.Mode,
 			Class:       pr.class,
 			Topology:    s.topos[pr.topo],
-			DeltaCycles: rep.Cycles - s.baseCycles[pr.mode],
+			DeltaCycles: d[objCycles],
 			C2CCycles:   classC2C(rep, pr.class),
 		})
 	}
@@ -198,12 +189,7 @@ func (s *Surrogate) Costs() []ClassCost {
 // fastest) every search in this package shares, so ties resolve
 // identically everywhere.
 func (s *Surrogate) Candidates() []collective.Plan {
-	cands := enumerateSession(s.union, s.topos)
-	out := make([]collective.Plan, len(cands))
-	for i, c := range cands {
-		out[i] = c.plan
-	}
-	return out
+	return planGrid(s.union, s.topos)
 }
 
 // planIdx resolves a plan to per-union-class topology indices;
@@ -220,54 +206,35 @@ func (s *Surrogate) planIdx(p collective.Plan) []int {
 // prefill plus one decode step) from the fitted deltas — a few
 // additions, no simulation.
 func (s *Surrogate) PredictCycles(p collective.Plan) float64 {
-	return s.predictCycles(s.planIdx(p))
+	return s.predict(s.planIdx(p))[objCycles]
 }
 
 // PredictSeconds predicts the plan's whole-session wall time the same
 // way (seconds are fitted from the probe reports directly, so clock
 // differences between phases need no assumptions).
 func (s *Surrogate) PredictSeconds(p collective.Plan) float64 {
-	return s.predictSeconds(s.planIdx(p))
+	return s.predict(s.planIdx(p))[objSeconds]
 }
 
 // PredictJoules predicts the plan's whole-session energy the same
 // way.
 func (s *Surrogate) PredictJoules(p collective.Plan) float64 {
-	return s.predictJoules(s.planIdx(p))
+	return s.predict(s.planIdx(p))[objJoules]
 }
 
-func (s *Surrogate) predictCycles(idx []int) float64 {
-	total := 0.0
+// predict composes every objective of a candidate, given as
+// per-union-class topology indices: per phase, the all-reference
+// baseline plus each class's measured delta, summed over the phases.
+func (s *Surrogate) predict(idx []int) [numObjectives]float64 {
+	var total [numObjectives]float64
 	for mi, m := range s.modes {
-		cycles := s.baseCycles[mi]
-		for _, c := range m.classes {
-			cycles += s.deltaCycles[mi][c][idx[s.pos[c]]]
+		for o := range total {
+			v := s.base[mi][o]
+			for _, c := range m.classes {
+				v += s.delta[mi][c][idx[s.pos[c]]][o]
+			}
+			total[o] += v
 		}
-		total += cycles
-	}
-	return total
-}
-
-func (s *Surrogate) predictSeconds(idx []int) float64 {
-	total := 0.0
-	for mi, m := range s.modes {
-		secs := s.baseSecs[mi]
-		for _, c := range m.classes {
-			secs += s.deltaSecs[mi][c][idx[s.pos[c]]]
-		}
-		total += secs
-	}
-	return total
-}
-
-func (s *Surrogate) predictJoules(idx []int) float64 {
-	total := 0.0
-	for mi, m := range s.modes {
-		joules := s.baseJoules[mi]
-		for _, c := range m.classes {
-			joules += s.deltaJoules[mi][c][idx[s.pos[c]]]
-		}
-		total += joules
 	}
 	return total
 }
@@ -277,33 +244,15 @@ func (s *Surrogate) predictJoules(idx []int) float64 {
 // from the cache tiers — and returns one VerifiedPlan per input, in
 // input order.
 func (s *Surrogate) Verify(base core.System, plans []collective.Plan) ([]VerifiedPlan, error) {
-	cands := make([]sessionCand, len(plans))
-	sel := make([]int, len(plans))
-	for i, p := range plans {
-		cands[i] = sessionCand{idx: s.planIdx(p), plan: p}
-		sel[i] = i
-	}
-	exact, modeReports, err := sessionVerify(base, s.modes, cands, sel)
+	out, err := evalCands(base, s.modes, plans, false, "session verify")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]VerifiedPlan, len(plans))
 	for i, p := range plans {
-		reps := modeReports[i]
-		vp := VerifiedPlan{
-			Plan:             p,
-			PredictedCycles:  s.predictCycles(cands[i].idx),
-			PredictedSeconds: s.predictSeconds(cands[i].idx),
-			PredictedJoules:  s.predictJoules(cands[i].idx),
-			Cycles:           exact[i],
-			PrefillReport:    reps[0],
-			DecodeReport:     reps[len(reps)-1],
-		}
-		for _, rep := range reps {
-			vp.Seconds += rep.Seconds
-			vp.Joules += rep.Energy.Total()
-		}
-		out[i] = vp
+		pred := s.predict(s.planIdx(p))
+		out[i].PredictedCycles = pred[objCycles]
+		out[i].PredictedSeconds = pred[objSeconds]
+		out[i].PredictedJoules = pred[objJoules]
 	}
 	return out, nil
 }

@@ -2,7 +2,7 @@ package explore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mcudist/internal/core"
 	"mcudist/internal/deploy"
@@ -207,25 +207,6 @@ func tilingPoint(base core.System, wl core.Workload, ta, tf memsim.Tiling) evalp
 	return evalpool.Point{System: sys, Workload: wl}
 }
 
-// rankByCost returns pool indices ordered by cost ascending (stable,
-// ties keep pool order), capped to limit when limit > 0.
-func rankByCost(cost []float64, limit int) []int {
-	order := make([]int, len(cost))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if cost[order[a]] != cost[order[b]] {
-			return cost[order[a]] < cost[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	if limit > 0 && limit < len(order) {
-		order = order[:limit]
-	}
-	return order
-}
-
 // AutotuneTiling tunes the DRAM-backed memory hierarchy's tile shapes
 // per layer family — one tiling for the attention projections, one
 // for the feed-forward matrices — for the base system's streamed-tier
@@ -293,135 +274,91 @@ func AutotuneTiling(base core.System, wl core.Workload, opts TilingOptions) (*Ti
 		GridSims:   len(pairs),
 	}
 
-	// Select what to verify exactly.
-	var verifyOrder []int
-	if opts.Exhaustive {
-		for i := range pairs {
-			verifyOrder = append(verifyOrder, i)
-		}
-	} else {
-		order := make([]int, len(pairs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if predicted[order[a]] != predicted[order[b]] {
-				return predicted[order[a]] < predicted[order[b]]
-			}
-			return order[a] < order[b]
-		})
+	// Select what to verify exactly, in grid order: every pair under
+	// Exhaustive, otherwise the predicted top-K.
+	sel := indices(len(pairs))
+	if !opts.Exhaustive {
 		topK := opts.TopK
 		if topK <= 0 {
 			topK = DefaultTilingTopK
 		}
-		if topK > len(order) {
-			topK = len(order)
-		}
-		verifyOrder = append(verifyOrder, order[:topK]...)
+		sel = rankByCost(predicted, topK)
+		slices.Sort(sel)
 	}
 
 	// The uniform baseline: the predicted-best single tilings shared
-	// by both families, always verified (the margin needs them). A
-	// uniform point (t, t) shares its cache entry with the grid pair
-	// (t, t) when both families kept t.
+	// by both families, always verified (the margin needs them).
 	uCost := make([]float64, len(pool))
 	for i := range pool {
 		uCost[i] = aCost[i] + fCost[i]
 	}
 	uniList := rankByCost(uCost, DefaultUniformVerify)
 
-	// Evaluate: one deduplicated point per selected pair + uniform.
-	ev := newSessionEval()
-	pairPt := make(map[int]int, len(verifyOrder))
-	for _, i := range verifyOrder {
-		p := pairs[i]
-		pairPt[i] = ev.add(tilingPoint(base, wl, pool[p.ai], pool[p.fi]))
+	// Evaluate one deduplicated point per selected pair, then per
+	// uniform: a uniform point (t, t) shares its cache entry with the
+	// grid pair (t, t) when both families kept t.
+	type cand struct {
+		attn, ffn memsim.Tiling
+		predicted float64
+		point     int
 	}
-	uniPt := make([]int, len(uniList))
-	for j, pi := range uniList {
-		uniPt[j] = ev.add(tilingPoint(base, wl, pool[pi], pool[pi]))
+	var ev evalSet
+	cands := make([]cand, 0, len(sel)+len(uniList))
+	add := func(ta, tf memsim.Tiling, predicted float64) {
+		cands = append(cands, cand{ta, tf, predicted, ev.add(tilingPoint(base, wl, ta, tf))})
 	}
-	reports, err := evalpool.Map(ev.points)
+	for _, i := range sel {
+		add(pool[pairs[i].ai], pool[pairs[i].fi], predicted[i])
+	}
+	for _, pi := range uniList {
+		add(pool[pi], pool[pi], uCost[pi])
+	}
+	reports, err := ev.run("tiling verify")
 	if err != nil {
-		return nil, fmt.Errorf("explore: tiling verify: %w", err)
+		return nil, err
 	}
+	report := func(k int) *core.Report { return reports[cands[k].point] }
+	cycles := func(k int) float64 { return report(k).Cycles }
 
 	// Winner: fewest exact cycles over verified pairs and uniforms;
-	// ties keep the earliest grid index (uniform extras rank after the
-	// grid, so a uniform duplicate of a grid pair never displaces it).
-	best, bestKey := -1, 0
-	bestCycles := 0.0
-	consider := func(key, pt int) {
-		c := reports[pt].Cycles
-		if best < 0 || c < bestCycles || (c == bestCycles && key < bestKey) {
-			best, bestKey, bestCycles = pt, key, c
-		}
-	}
-	for _, i := range verifyOrder {
-		consider(i, pairPt[i])
-	}
-	for j := range uniList {
-		consider(len(pairs)+j, uniPt[j])
-	}
-	if bestKey < len(pairs) {
-		res.Attn, res.FFN = pool[pairs[bestKey].ai], pool[pairs[bestKey].fi]
-		res.PredictedCycles = predicted[bestKey]
-	} else {
-		pi := uniList[bestKey-len(pairs)]
-		res.Attn, res.FFN = pool[pi], pool[pi]
-		res.PredictedCycles = uCost[pi]
-	}
-	res.Cycles = bestCycles
-	res.Report = reports[best]
+	// ties keep the earliest grid pair, and the uniform extras rank
+	// after the grid, so a uniform duplicate of a grid pair never
+	// displaces it.
+	best := argmin(len(cands), cycles)
+	res.Attn, res.FFN = cands[best].attn, cands[best].ffn
+	res.PredictedCycles = cands[best].predicted
+	res.Cycles, res.Report = cycles(best), report(best)
 
 	// Best uniform and the per-family win margin.
-	uniBest := 0
-	for j := 1; j < len(uniPt); j++ {
-		if reports[uniPt[j]].Cycles < reports[uniPt[uniBest]].Cycles {
-			uniBest = j
-		}
-	}
-	res.BestUniform = pool[uniList[uniBest]]
-	res.UniformCycles = reports[uniPt[uniBest]].Cycles
-	res.UniformReport = reports[uniPt[uniBest]]
+	uni := len(sel) + argmin(len(uniList), func(j int) float64 { return cycles(len(sel) + j) })
+	res.BestUniform = cands[uni].attn
+	res.UniformCycles, res.UniformReport = cycles(uni), report(uni)
 	res.Margin = res.UniformCycles / res.Cycles
 
-	// The verified table and the predictor's rank concordance.
-	for _, i := range verifyOrder {
+	// The verified table, in predicted order (grid order under
+	// Exhaustive), and the predictor's rank concordance.
+	order := indices(len(sel))
+	if !opts.Exhaustive {
+		selPred := make([]float64, len(sel))
+		for k := range sel {
+			selPred[k] = cands[k].predicted
+		}
+		order = rankByCost(selPred, 0)
+	}
+	exact := make([]float64, len(order))
+	for j, k := range order {
+		exact[j] = cycles(k)
 		res.Verified = append(res.Verified, TilingCandidate{
-			Attn:            pool[pairs[i].ai],
-			FFN:             pool[pairs[i].fi],
-			PredictedCycles: predicted[i],
-			Cycles:          reports[pairPt[i]].Cycles,
+			Attn:            cands[k].attn,
+			FFN:             cands[k].ffn,
+			PredictedCycles: cands[k].predicted,
+			Cycles:          exact[j],
 		})
 	}
-	if opts.Exhaustive {
-		res.RankAccuracy = 1
-	} else {
-		sort.SliceStable(res.Verified, func(a, b int) bool {
-			return res.Verified[a].PredictedCycles < res.Verified[b].PredictedCycles
-		})
-		res.RankAccuracy = tilingConcordance(res.Verified)
+	res.RankAccuracy = 1
+	if !opts.Exhaustive {
+		res.RankAccuracy = concordance(exact)
 	}
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// tilingConcordance is the fraction of verified pair orderings the
-// prediction got right (list in predicted order; exact ties count as
-// concordant).
-func tilingConcordance(v []TilingCandidate) float64 {
-	if len(v) < 2 {
-		return 1
-	}
-	pairs, ok := 0, 0
-	for i := 0; i < len(v); i++ {
-		for j := i + 1; j < len(v); j++ {
-			pairs++
-			if v[i].Cycles <= v[j].Cycles {
-				ok++
-			}
-		}
-	}
-	return float64(ok) / float64(pairs)
 }

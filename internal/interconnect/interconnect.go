@@ -205,8 +205,7 @@ func (t *Tree) BroadcastHops() []Hop {
 // link of the platform's local/uniform class, in cluster cycles:
 // payload / bandwidth + per-transfer setup. The event simulator
 // resolves each hop's own class (heterogeneous networks differ per
-// edge); this closed-form helper assumes the uniform class and backs
-// the analytical estimates.
+// edge); this closed-form helper assumes the uniform class.
 func TransferCycles(p hw.Params, payloadBytes int64) float64 {
 	return p.Network.Local.TransferCycles(p.Chip.FreqHz, payloadBytes)
 }
