@@ -28,12 +28,20 @@
 //	sweep -model scaled -chips 64 -replan -fault drop:3
 //	sweep -fleet -chips 8 -groups 2 -fault drop:3 -fault-at 5 -fault-replan
 //	sweep -model scaled -chips 8 -cache-dir /tmp/c -cache-compact /tmp/c.compact
+//
+// Each run is one study: the plain sweep, or the one selected by
+// -autotune, -autotune-session, -autotune-tiling, -replan or -fleet.
+// The studies table lists the flags each study reads; two study flags,
+// or a set flag the chosen study does not read, exit 1 naming the
+// flag.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,52 +59,140 @@ import (
 	"mcudist/internal/resultstore"
 )
 
+var (
+	modelName  = flag.String("model", "tinyllama", "model: tinyllama | scaled | mobilebert | smollm | edgellama")
+	modeName   = flag.String("mode", "autoregressive", "mode: autoregressive | prompt")
+	chipsList  = flag.String("chips", "1,2,4,8", "comma-separated chip counts")
+	seqLen     = flag.Int("seqlen", 0, "sequence length (0 = paper default)")
+	topoName   = flag.String("topology", "tree", "interconnect shape: tree | star | ring | fully-connected")
+	netName    = flag.String("network", "uniform", "link-layer profile: uniform | clustered")
+	backhaul   = flag.Float64("backhaul", 10, "clustered profile: inter-cluster bandwidth slowdown vs MIPI")
+	cluster    = flag.Int("cluster", 4, "clustered profile: chips per fast local cluster")
+	planSpec   = flag.String("plan", "", "per-sync collective plan, e.g. prefill=ring,decode=tree (empty = uniform -topology)")
+	autotune   = flag.Bool("autotune", false, "autotune the per-sync plan at each chip count and report it against the best uniform topology")
+	session    = flag.Bool("autotune-session", false, "autotune prefill+decode jointly at each chip count (predict-then-verify over the full class x topology grid; -seqlen sets the prompt length, -mode is rejected)")
+	topK       = flag.Int("topk", 0, "session autotuning: predicted-best candidates to verify exactly (0 = default)")
+	fleetMode  = flag.Bool("fleet", false, "fleet-serving mode: sweep Poisson arrival rates over a chip-group fleet with continuous batching (one CSV row per rate; -mode/-seqlen/-topology/-network/-plan are rejected)")
+	rates      = flag.String("rates", "50,100,200,400,800,1600", "fleet: comma-separated offered arrival rates, requests per second")
+	requests   = flag.Int("requests", 2000, "fleet: requests per trace")
+	seed       = flag.Uint64("seed", 11, "fleet: trace RNG seed")
+	groups     = flag.Int("groups", 1, "fleet: independent chip groups (each -chips wide)")
+	maxBatch   = flag.Int("max-batch", 0, "fleet: decode micro-batch cap per group (0 = default 8; 1 = no batching)")
+	fleetTune  = flag.Bool("fleet-autotune", false, "fleet: pick each group's collective plan with the session autotuner")
+	fleetSlow  = flag.Bool("fleet-serial", false, "fleet: disable the parallel shape pre-pricing pass and price every step lazily inside the serial event loop (the reference path; output is byte-identical either way)")
+	netlist    = flag.String("netlist", "", "measured per-edge wiring file (chips/class/link directives); selects the table network profile and overrides -network")
+	faultSpec  = flag.String("fault", "", "fault injection spec, comma-separated: drop:CHIP | slow:FROM-TOxFACTOR | straggle:CHIPxFACTOR (e.g. drop:3,slow:0-1x10); degrades each swept system before pricing")
+	replan     = flag.Bool("replan", false, "resilience study: autotune the pristine system at each chip count, apply -fault, and race the stale plan against re-planning on the degraded board (one CSV row per chip count)")
+	faultAt    = flag.Float64("fault-at", 0, "fleet: fault time on the fleet clock in seconds (with -fleet -fault)")
+	faultGroup = flag.Int("fault-group", 0, "fleet: chip group the -fault degrades")
+	faultTune  = flag.Bool("fault-replan", false, "fleet: re-tune the degraded group's collective plan at fault time")
+	memName    = flag.String("mem", "flat", "off-chip memory model: flat (legacy byte count) | dram (LPDDR5-backed tiled hierarchy)")
+	memDepth   = flag.Int("mem-depth", 0, "dram: prefetch depth, weight tiles fetched ahead of compute (0 = preset)")
+	memBanks   = flag.Int("mem-banks", 0, "dram: interleaved SRAM banks between prefetch and compute (0 = preset)")
+	memBPC     = flag.Float64("mem-bpc", 0, "dram: channel payload bandwidth, bytes per cluster cycle (0 = preset)")
+	memBurst   = flag.Int("mem-burst", 0, "dram: burst granule in bytes (0 = preset)")
+	memSetup   = flag.Int("mem-burst-setup", -1, "dram: per-burst setup cycles (-1 = preset)")
+	memPJ      = flag.Float64("mem-pj", 0, "dram: transfer energy in pJ per byte (0 = preset)")
+	tileSpec   = flag.String("tile", "", "dram: weight-tile shape KxN for streamed GEMMs, e.g. 32x256 (empty = auto: largest tile fitting one stream-buffer slot)")
+	ffnTile    = flag.String("ffn-tile", "", "dram: tile-shape override for the FFN layer family (empty = inherit -tile)")
+	tiling     = flag.Bool("autotune-tiling", false, "dram: autotune per-family tile shapes at each chip count (predict-then-verify over the attention x FFN tiling grid) and report them against the best uniform tiling")
+	workers    = flag.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
+	cacheDir   = flag.String("cache-dir", "", "persistent result store directory: configurations simulated once are reloaded on every later run (default off; falls back to $MCUDIST_CACHE)")
+	cacheStats = flag.Bool("cache-stats", false, "print memory-hit / disk-hit / exact-simulation counts and store size to stderr after the sweep")
+	compactDir = flag.String("cache-compact", "", "after the sweep, compact the persistent store into this directory, keeping only current-format entries (requires an attached store)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+)
+
+// input is what every study runs on: the board the flags describe
+// (each study sets its own chip count), the workload, the chip list,
+// and the parsed -fault spec.
+type input struct {
+	base   core.System
+	wl     core.Workload
+	chips  []int
+	faults []resilience.Fault
+}
+
+// study is one row of the studies table: the bool flag that selects
+// it ("" for the plain sweep), the flags it reads besides the shared
+// ones, and its runner.
+type study struct {
+	flag  string
+	reads []string
+	run   func(in input)
+}
+
+func (s *study) String() string {
+	if s.flag == "" {
+		return "the plain sweep"
+	}
+	return "-" + s.flag
+}
+
+var (
+	// shared flags are read by every study: the model, the chip list,
+	// the memory tier, and the evaluation engine's knobs.
+	shared = []string{"model", "chips", "mem", "mem-depth", "mem-banks", "mem-bpc",
+		"mem-burst", "mem-burst-setup", "mem-pj", "workers", "cache-dir", "cache-stats",
+		"cache-compact", "cpuprofile", "memprofile"}
+	// board flags describe the interconnect every study but the fleet
+	// prices on.
+	board = []string{"topology", "network", "backhaul", "cluster", "netlist"}
+	tiles = []string{"tile", "ffn-tile"}
+
+	studies = []study{
+		{"", slices.Concat(board, tiles, []string{"mode", "seqlen", "plan", "fault"}), plainSweep},
+		{"autotune", slices.Concat(board, tiles, []string{"mode", "seqlen"}), autotuneSweep},
+		{"autotune-session", slices.Concat(board, tiles, []string{"seqlen", "topk"}), sessionSweep},
+		{"autotune-tiling", slices.Concat(board, []string{"mode", "seqlen", "topk"}), tilingSweep},
+		{"replan", slices.Concat(board, tiles, []string{"seqlen", "topk", "fault"}), replanSweep},
+		{"fleet", slices.Concat(tiles, []string{"rates", "requests", "seed", "groups", "max-batch",
+			"fleet-autotune", "fleet-serial", "fault", "fault-at", "fault-group", "fault-replan"}), fleetSweep},
+	}
+)
+
+// studyOf returns the study a flag name selects, or nil.
+func studyOf(name string) *study {
+	for i := range studies {
+		if studies[i].flag == name {
+			return &studies[i]
+		}
+	}
+	return nil
+}
+
+// choose returns the study the set flags select: at most one study
+// flag may be true, and every other set flag must be one the chosen
+// study reads.
+func choose(fs *flag.FlagSet) (*study, error) {
+	chosen := &studies[0]
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		s := studyOf(f.Name)
+		if err != nil || s == nil || f.Value.String() != "true" {
+			return
+		}
+		if chosen.flag != "" {
+			err = fmt.Errorf("choose one study: %s and %s are both set", chosen, s)
+		}
+		chosen = s
+	})
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && studyOf(f.Name) == nil &&
+			!slices.Contains(shared, f.Name) && !slices.Contains(chosen.reads, f.Name) {
+			err = fmt.Errorf("-%s is not read by %s", f.Name, chosen)
+		}
+	})
+	return chosen, err
+}
+
 func main() {
-	var (
-		modelName  = flag.String("model", "tinyllama", "model: tinyllama | scaled | mobilebert | edgellama")
-		modeName   = flag.String("mode", "autoregressive", "mode: autoregressive | prompt")
-		chipsList  = flag.String("chips", "1,2,4,8", "comma-separated chip counts")
-		seqLen     = flag.Int("seqlen", 0, "sequence length (0 = paper default)")
-		topoName   = flag.String("topology", "tree", "interconnect shape: tree | star | ring | fully-connected")
-		netName    = flag.String("network", "uniform", "link-layer profile: uniform | clustered")
-		backhaul   = flag.Float64("backhaul", 10, "clustered profile: inter-cluster bandwidth slowdown vs MIPI")
-		cluster    = flag.Int("cluster", 4, "clustered profile: chips per fast local cluster")
-		planSpec   = flag.String("plan", "", "per-sync collective plan, e.g. prefill=ring,decode=tree (empty = uniform -topology)")
-		autotune   = flag.Bool("autotune", false, "autotune the per-sync plan at each chip count and report it against the best uniform topology")
-		session    = flag.Bool("autotune-session", false, "autotune prefill+decode jointly at each chip count (predict-then-verify over the full class x topology grid; -mode is ignored, -seqlen sets the prompt length)")
-		topK       = flag.Int("topk", 0, "session autotuning: predicted-best candidates to verify exactly (0 = default)")
-		fleetMode  = flag.Bool("fleet", false, "fleet-serving mode: sweep Poisson arrival rates over a chip-group fleet with continuous batching (one CSV row per rate; -mode/-seqlen/-topology flags are ignored)")
-		rates      = flag.String("rates", "50,100,200,400,800,1600", "fleet: comma-separated offered arrival rates, requests per second")
-		requests   = flag.Int("requests", 2000, "fleet: requests per trace")
-		seed       = flag.Uint64("seed", 11, "fleet: trace RNG seed")
-		groups     = flag.Int("groups", 1, "fleet: independent chip groups (each -chips wide)")
-		maxBatch   = flag.Int("max-batch", 0, "fleet: decode micro-batch cap per group (0 = default 8; 1 = no batching)")
-		fleetTune  = flag.Bool("fleet-autotune", false, "fleet: pick each group's collective plan with the session autotuner")
-		fleetSlow  = flag.Bool("fleet-serial", false, "fleet: disable the parallel shape pre-pricing pass and price every step lazily inside the serial event loop (the reference path; output is byte-identical either way)")
-		netlist    = flag.String("netlist", "", "measured per-edge wiring file (chips/class/link directives); selects the table network profile and overrides -network")
-		faultSpec  = flag.String("fault", "", "fault injection spec, comma-separated: drop:CHIP | slow:FROM-TOxFACTOR | straggle:CHIPxFACTOR (e.g. drop:3,slow:0-1x10); degrades each swept system before pricing")
-		replan     = flag.Bool("replan", false, "resilience study: autotune the pristine system at each chip count, apply -fault, and race the stale plan against re-planning on the degraded board (one CSV row per chip count)")
-		faultAt    = flag.Float64("fault-at", 0, "fleet: fault time on the fleet clock in seconds (with -fleet -fault)")
-		faultGroup = flag.Int("fault-group", 0, "fleet: chip group the -fault degrades")
-		faultTune  = flag.Bool("fault-replan", false, "fleet: re-tune the degraded group's collective plan at fault time")
-		memName    = flag.String("mem", "flat", "off-chip memory model: flat (legacy byte count) | dram (LPDDR5-backed tiled hierarchy)")
-		memDepth   = flag.Int("mem-depth", 0, "dram: prefetch depth, weight tiles fetched ahead of compute (0 = preset)")
-		memBanks   = flag.Int("mem-banks", 0, "dram: interleaved SRAM banks between prefetch and compute (0 = preset)")
-		memBPC     = flag.Float64("mem-bpc", 0, "dram: channel payload bandwidth, bytes per cluster cycle (0 = preset)")
-		memBurst   = flag.Int("mem-burst", 0, "dram: burst granule in bytes (0 = preset)")
-		memSetup   = flag.Int("mem-burst-setup", -1, "dram: per-burst setup cycles (-1 = preset)")
-		memPJ      = flag.Float64("mem-pj", 0, "dram: transfer energy in pJ per byte (0 = preset)")
-		tileSpec   = flag.String("tile", "", "dram: weight-tile shape KxN for streamed GEMMs, e.g. 32x256 (empty = auto: largest tile fitting one stream-buffer slot)")
-		ffnTile    = flag.String("ffn-tile", "", "dram: tile-shape override for the FFN layer family (empty = inherit -tile)")
-		tiling     = flag.Bool("autotune-tiling", false, "dram: autotune per-family tile shapes at each chip count (predict-then-verify over the attention x FFN tiling grid) and report them against the best uniform tiling")
-		workers    = flag.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache-dir", "", "persistent result store directory: configurations simulated once are reloaded on every later run (default off; falls back to $MCUDIST_CACHE)")
-		cacheStats = flag.Bool("cache-stats", false, "print memory-hit / disk-hit / exact-simulation counts and store size to stderr after the sweep")
-		compactDir = flag.String("cache-compact", "", "after the sweep, compact the persistent store into this directory, keeping only current-format entries (requires an attached store)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
 	flag.Parse()
+	st, err := choose(flag.CommandLine)
+	if err != nil {
+		fatal(err)
+	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
@@ -117,130 +213,80 @@ func main() {
 			fatal(err)
 		}
 	}()
-
-	topo, err := hw.ParseTopology(*topoName)
+	in, err := parseInput()
 	if err != nil {
 		fatal(err)
 	}
-	network, err := buildNetwork(*netName, *cluster, *backhaul)
-	if err != nil {
-		fatal(err)
+	st.run(in)
+}
+
+// parseInput builds the one base system, the workload, the chip list
+// and the fault set from the flags. Flags a study does not read keep
+// their defaults (choose rejected them), which spell the paper's
+// system.
+func parseInput() (input, error) {
+	var in input
+	var err error
+	in.base = core.DefaultSystem(1)
+	if in.base.HW.Topology, err = hw.ParseTopology(*topoName); err != nil {
+		return in, err
+	}
+	if in.base.HW.Network, err = buildNetwork(*netName, *cluster, *backhaul); err != nil {
+		return in, err
 	}
 	if *netlist != "" {
 		nl, err := resilience.LoadNetlist(*netlist)
 		if err != nil {
-			fatal(err)
+			return in, err
 		}
-		if network, err = nl.Network(); err != nil {
-			fatal(err)
+		if in.base.HW.Network, err = nl.Network(); err != nil {
+			return in, err
 		}
 	}
-	var faults []resilience.Fault
 	if *faultSpec != "" {
-		if faults, err = resilience.ParseFaults(*faultSpec); err != nil {
-			fatal(err)
+		if in.faults, err = resilience.ParseFaults(*faultSpec); err != nil {
+			return in, err
 		}
 	}
-	if *replan && len(faults) == 0 {
-		fatal(fmt.Errorf("-replan needs a -fault spec to degrade the board with"))
+	if in.base.Options.SyncPlan, err = collective.ParsePlan(*planSpec); err != nil {
+		return in, err
 	}
-	plan, err := collective.ParsePlan(*planSpec)
-	if err != nil {
-		fatal(err)
+	if in.base.HW.Mem, err = buildMem(*memName, *memDepth, *memBanks, *memBPC, *memBurst, *memSetup, *memPJ, *tileSpec, *ffnTile); err != nil {
+		return in, err
 	}
-	if *autotune && !plan.IsZero() {
-		fatal(fmt.Errorf("choose -plan or -autotune, not both"))
+	if in.wl.Model, err = model.ByName(*modelName); err != nil {
+		return in, err
 	}
-	if *session && (*autotune || !plan.IsZero()) {
-		fatal(fmt.Errorf("choose -autotune-session or -plan/-autotune, not both"))
+	if in.wl.Mode, err = model.ParseMode(*modeName); err != nil {
+		return in, err
 	}
-	mem, err := buildMem(*memName, *memDepth, *memBanks, *memBPC, *memBurst, *memSetup, *memPJ, *tileSpec, *ffnTile)
-	if err != nil {
-		fatal(err)
-	}
-	if *tiling {
-		if !mem.Enabled() {
-			fatal(fmt.Errorf("-autotune-tiling needs the hierarchical memory model (-mem dram)"))
-		}
-		if *tileSpec != "" || *ffnTile != "" {
-			fatal(fmt.Errorf("choose -autotune-tiling or explicit -tile/-ffn-tile, not both"))
-		}
-		if *autotune || *session || !plan.IsZero() {
-			fatal(fmt.Errorf("choose -autotune-tiling or -plan/-autotune/-autotune-session, not both"))
-		}
-	}
-	if *replan && (*autotune || *session || *tiling || *fleetMode) {
-		fatal(fmt.Errorf("-replan is its own study: drop -autotune/-autotune-session/-autotune-tiling/-fleet"))
-	}
-	if len(faults) > 0 && (*autotune || *session || *tiling) {
-		fatal(fmt.Errorf("-fault combines with the plain sweep, -replan, or -fleet"))
-	}
-
-	var cfg model.Config
-	switch strings.ToLower(*modelName) {
-	case "tinyllama":
-		cfg = model.TinyLlama42M()
-	case "scaled":
-		cfg = model.TinyLlamaScaled64()
-	case "mobilebert":
-		cfg = model.MobileBERT512()
-	case "edgellama":
-		cfg = model.EdgeLlama1B()
-	default:
-		fatal(fmt.Errorf("unknown model %q", *modelName))
-	}
-	mode := model.Autoregressive
-	if strings.HasPrefix(strings.ToLower(*modeName), "p") {
-		mode = model.Prompt
-	}
-
-	var chips []int
+	in.wl.SeqLen = *seqLen
 	for _, part := range strings.Split(*chipsList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fatal(fmt.Errorf("bad chip count %q: %v", part, err))
+			return in, fmt.Errorf("bad chip count %q: %v", part, err)
 		}
-		chips = append(chips, n)
+		in.chips = append(in.chips, n)
 	}
+	return in, nil
+}
 
-	if *fleetMode {
-		if len(chips) != 1 {
-			fatal(fmt.Errorf("-fleet takes a single -chips value (group width), got %v", chips))
-		}
-		var fp *fleet.FaultPlan
-		if len(faults) > 0 {
-			fp = &fleet.FaultPlan{AtSeconds: *faultAt, Group: *faultGroup, Faults: faults, Replan: *faultTune}
-		}
-		fleetSweep(cfg, chips[0], mem, *rates, *requests, *seed, *groups, *maxBatch, *fleetTune, *fleetSlow, fp)
+// withChips returns the base system at n chips.
+func (in input) withChips(n int) core.System {
+	sys := in.base
+	sys.Chips = n
+	return sys
+}
+
+// plainSweep emits one CSV row per chip count: the workload's cost on
+// the base system, with speedup against the first chip count. A
+// -fault spec hands over to faultSweep.
+func plainSweep(in input) {
+	if len(in.faults) > 0 {
+		faultSweep(in)
 		return
 	}
-	wl := core.Workload{Model: cfg, Mode: mode, SeqLen: *seqLen}
-	if *replan {
-		replanSweep(topo, network, mem, cfg, *seqLen, *topK, faults, chips)
-		return
-	}
-	if *session {
-		sessionSweep(topo, network, mem, cfg, *seqLen, *topK, chips)
-		return
-	}
-	if *autotune {
-		autotuneSweep(topo, network, mem, wl, chips)
-		return
-	}
-	if *tiling {
-		tilingSweep(topo, network, mem, wl, *topK, chips)
-		return
-	}
-	if len(faults) > 0 {
-		faultSweep(topo, network, mem, plan, wl, faults, chips)
-		return
-	}
-	base1 := core.DefaultSystem(1)
-	base1.HW.Topology = topo
-	base1.HW.Network = network
-	base1.HW.Mem = mem
-	base1.Options.SyncPlan = plan
-	reports, err := evalpool.Eval(base1, wl, chips)
+	reports, err := evalpool.Eval(in.base, in.wl, in.chips)
 	if err != nil {
 		fatal(err)
 	}
@@ -250,7 +296,7 @@ func main() {
 		"compute_cycles", "l2l1_cycles", "l3_cycles", "c2c_cycles",
 		"energy_mj", "edp_js", "tier")
 	for i, r := range reports {
-		t.AddRow(chips[i], r.Cycles, r.Seconds*1e3, core.Speedup(base, r),
+		t.AddRow(in.chips[i], r.Cycles, r.Seconds*1e3, core.Speedup(base, r),
 			r.Breakdown.Compute, r.Breakdown.L2L1, r.Breakdown.L3, r.Breakdown.C2C,
 			r.Energy.Total()*1e3, r.EDP, r.Tier.String())
 	}
@@ -264,15 +310,11 @@ func main() {
 // joins assignments with "+" (the flag syntax's commas would split
 // the CSV cell); ParsePlan accepts both separators, so the cell
 // pastes straight back into -plan.
-func autotuneSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, wl core.Workload, chips []int) {
+func autotuneSweep(in input) {
 	t := report.NewTable("", "chips", "plan", "cycles", "ms",
 		"best_uniform", "uniform_cycles", "margin")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		res, err := explore.AutotunePlan(sys, wl)
+	for _, n := range in.chips {
+		res, err := explore.AutotunePlan(in.withChips(n), in.wl)
 		if err != nil {
 			fatal(fmt.Errorf("%d chips: %w", n, err))
 		}
@@ -290,15 +332,12 @@ func autotuneSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, wl
 // uniform session it beats, and the predict-then-verify search's
 // exact-simulation bill against the naive joint grid. The plan column
 // uses the "+"-joined spelling and pastes straight back into -plan.
-func sessionSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, cfg model.Config, seqLen, topK int, chips []int) {
+func sessionSweep(in input) {
 	t := report.NewTable("", "chips", "plan", "cycles", "predicted_cycles",
 		"best_uniform", "uniform_cycles", "margin", "rank_acc", "exact_sims", "grid_sims")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		res, err := explore.AutotuneSession(sys, cfg, explore.SessionOptions{TopK: topK, PromptSeqLen: seqLen})
+	for _, n := range in.chips {
+		res, err := explore.AutotuneSession(in.withChips(n), in.wl.Model,
+			explore.SessionOptions{TopK: *topK, PromptSeqLen: in.wl.SeqLen})
 		if err != nil {
 			fatal(fmt.Errorf("%d chips: %w", n, err))
 		}
@@ -316,15 +355,14 @@ func sessionSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, cfg
 // per-family weight-tile shapes under the DRAM hierarchy against the
 // best uniform tiling. The attn/ffn cells use the KxN spelling and
 // paste straight back into -tile / -ffn-tile.
-func tilingSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, wl core.Workload, topK int, chips []int) {
+func tilingSweep(in input) {
+	if !in.base.HW.Mem.Enabled() {
+		fatal(errors.New("-autotune-tiling needs the hierarchical memory model (-mem dram)"))
+	}
 	t := report.NewTable("", "chips", "attn_tile", "ffn_tile", "cycles", "ms",
 		"best_uniform", "uniform_cycles", "margin", "rank_acc", "exact_sims", "grid_sims")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		res, err := explore.AutotuneTiling(sys, wl, explore.TilingOptions{TopK: topK})
+	for _, n := range in.chips {
+		res, err := explore.AutotuneTiling(in.withChips(n), in.wl, explore.TilingOptions{TopK: *topK})
 		if err != nil {
 			fatal(fmt.Errorf("%d chips: %w", n, err))
 		}
@@ -341,21 +379,16 @@ func tilingSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, wl c
 // faultSweep emits one CSV row per chip count: the exact cost of the
 // workload on the board degraded by the -fault spec. The chips column
 // is the pristine count; degraded_chips what survives the faults.
-func faultSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, plan collective.Plan, wl core.Workload, faults []resilience.Fault, chips []int) {
+func faultSweep(in input) {
 	t := report.NewTable("", "chips", "degraded_chips", "cycles", "ms",
 		"compute_cycles", "l2l1_cycles", "l3_cycles", "c2c_cycles",
 		"energy_mj", "edp_js", "tier")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		sys.Options.SyncPlan = plan
-		deg, _, err := resilience.Degrade(sys, wl.Model, faults...)
+	for _, n := range in.chips {
+		deg, _, err := resilience.Degrade(in.withChips(n), in.wl.Model, in.faults...)
 		if err != nil {
 			fatal(fmt.Errorf("%d chips: %w", n, err))
 		}
-		r, err := evalpool.Run(deg, wl)
+		r, err := evalpool.Run(deg, in.wl)
 		if err != nil {
 			fatal(fmt.Errorf("%d chips: %w", n, err))
 		}
@@ -372,16 +405,15 @@ func faultSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, plan 
 // of the -fault scenario — the stale pristine-tuned plan priced on the
 // degraded board against re-planning for it. Plan cells use the
 // "+"-joined spelling and paste straight back into -plan.
-func replanSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, cfg model.Config, seqLen, topK int, faults []resilience.Fault, chips []int) {
+func replanSweep(in input) {
+	if len(in.faults) == 0 {
+		fatal(errors.New("-replan needs a -fault spec to degrade the board with"))
+	}
 	t := report.NewTable("", "chips", "degraded_chips", "faults", "stale_plan", "static_cycles",
 		"adopted_plan", "adopted_cycles", "replan_pays", "margin", "margin_joules", "exact_sims")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		study, err := resilience.ReplanStudy(sys, cfg, faults,
-			explore.SessionOptions{TopK: topK, PromptSeqLen: seqLen})
+	for _, n := range in.chips {
+		study, err := resilience.ReplanStudy(in.withChips(n), in.wl.Model, in.faults,
+			explore.SessionOptions{TopK: *topK, PromptSeqLen: in.wl.SeqLen})
 		if err != nil {
 			fatal(fmt.Errorf("%d chips: %w", n, err))
 		}
@@ -407,14 +439,21 @@ func replanSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, cfg 
 // off) and pastes straight back into -plan. A -fault plan adds its
 // post-fault record in the trailing columns (zero rows when the fault
 // never fired before the trace drained).
-func fleetSweep(cfg model.Config, chipsPerGroup int, mem hw.MemHierarchy, rateList string, requests int, seed uint64, groups, maxBatch int, autotune, serial bool, fp *fleet.FaultPlan) {
-	var rates []float64
-	for _, part := range strings.Split(rateList, ",") {
+func fleetSweep(in input) {
+	if len(in.chips) != 1 {
+		fatal(fmt.Errorf("-fleet takes a single -chips value (group width), got %v", in.chips))
+	}
+	var fp *fleet.FaultPlan
+	if len(in.faults) > 0 {
+		fp = &fleet.FaultPlan{AtSeconds: *faultAt, Group: *faultGroup, Faults: in.faults, Replan: *faultTune}
+	}
+	var rateList []float64
+	for _, part := range strings.Split(*rates, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			fatal(fmt.Errorf("bad rate %q: %v", part, err))
 		}
-		rates = append(rates, r)
+		rateList = append(rateList, r)
 	}
 	// The CSV carries only the deterministic serving metrics — cache
 	// counters go to stderr via -cache-stats — so a warm replay of the
@@ -422,19 +461,17 @@ func fleetSweep(cfg model.Config, chipsPerGroup int, mem hw.MemHierarchy, rateLi
 	t := report.NewTable("", "offered_req_s", "achieved_req_s", "p50_s", "p99_s",
 		"p50_ttft_s", "tok_s", "J_per_req", "mean_queue", "max_queue",
 		"mean_batch", "util", "plan", "post_fault_chips", "post_fault_plan")
-	sys := core.DefaultSystem(chipsPerGroup)
-	sys.HW.Mem = mem
-	for _, rate := range rates {
+	for _, rate := range rateList {
 		res, err := fleet.Run(fleet.Options{
 			Trace: fleet.PoissonTrace(fleet.TraceOptions{
-				Requests: requests, RatePerSecond: rate, Seed: seed,
+				Requests: *requests, RatePerSecond: rate, Seed: *seed,
 			}),
-			System:     sys,
-			Model:      cfg,
-			Groups:     groups,
-			MaxBatch:   maxBatch,
-			Autotune:   autotune,
-			NoPrePrice: serial,
+			System:     in.withChips(in.chips[0]),
+			Model:      in.wl.Model,
+			Groups:     *groups,
+			MaxBatch:   *maxBatch,
+			Autotune:   *fleetTune,
+			NoPrePrice: *fleetSlow,
 			Fault:      fp,
 		})
 		if err != nil {

@@ -119,9 +119,3 @@ func FromResultIdleAware(p hw.Params, res *perfsim.Result) Report {
 	}
 	return rep
 }
-
-// EDP returns the energy-delay product in joule-seconds for a result
-// under the given parameters.
-func EDP(p hw.Params, res *perfsim.Result) float64 {
-	return FromResult(p, res).Total() * p.CyclesToSeconds(res.TotalCycles)
-}

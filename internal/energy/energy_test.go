@@ -56,10 +56,6 @@ func TestEnergyComponentsManual(t *testing.T) {
 	if math.Abs(rep.Total()-(rep.Compute+rep.L3+rep.L2+rep.C2C)) > 1e-15 {
 		t.Error("total is not the component sum")
 	}
-	edp := EDP(p, res)
-	if math.Abs(edp-rep.Total()*1.0) > 1e-12 {
-		t.Errorf("EDP = %g, want total × 1 s", edp)
-	}
 }
 
 // Chip-to-chip energy is billed per link class: bytes over a
@@ -110,8 +106,11 @@ func TestEDPImprovementSuperLinear(t *testing.T) {
 	// Paper headline: 27.2× EDP improvement at 8 chips.
 	cfg := model.TinyLlama42M()
 	p := hw.Siracusa()
-	edp1 := EDP(p, simulate(t, cfg, 1, model.Autoregressive, 128))
-	edp8 := EDP(p, simulate(t, cfg, 8, model.Autoregressive, 128))
+	edp := func(res *perfsim.Result) float64 {
+		return FromResult(p, res).Total() * p.CyclesToSeconds(res.TotalCycles)
+	}
+	edp1 := edp(simulate(t, cfg, 1, model.Autoregressive, 128))
+	edp8 := edp(simulate(t, cfg, 8, model.Autoregressive, 128))
 	improvement := edp1 / edp8
 	if improvement < 15 {
 		t.Fatalf("EDP improvement %g too low (paper: 27.2)", improvement)

@@ -6,7 +6,7 @@ import "testing"
 // findings: per-sync planning pays exactly where the phase regimes
 // diverge (the 64-chip hybrid), collapses to the best uniform shape
 // where they don't (8 chips on both networks — including the
-// clustered flip to fully-connected, the PR 3 BestTopology finding
+// clustered flip to fully-connected, the best-uniform-shape finding
 // holding jointly across both phases), and the predict-then-verify
 // search stays >= 5x under the naive joint grid everywhere.
 func TestSessionAutotune(t *testing.T) {

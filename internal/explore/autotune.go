@@ -43,10 +43,9 @@ type AutotuneResult struct {
 // topology. It is the one-phase case of the session enumerator: every
 // candidate is spelled phase-restricted, so the all-same tuples
 // collapse onto the zero-plan run-topology points and share their
-// simulation with the uniform baselines, BestTopology and the
-// frontiers. The enumeration covers only active classes, so the grid
-// stays small and every evaluated point is a genuine behavioral
-// variant. Ties keep the earliest candidate in odometer order, so the
+// simulation with the uniform baselines and the plain sweeps. The
+// enumeration covers only active classes, so the grid stays small and
+// every evaluated point is a genuine behavioral variant. Ties keep the earliest candidate in odometer order, so the
 // paper's tree wins exact draws.
 func AutotunePlan(base core.System, wl core.Workload) (*AutotuneResult, error) {
 	classes := collective.ActiveClasses(base.Strategy, wl.Mode)

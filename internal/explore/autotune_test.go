@@ -75,10 +75,10 @@ func TestAutotunePlanDecode64(t *testing.T) {
 }
 
 // AutotunePlan spells its all-same tuples exactly as the uniform
-// baselines, BestTopology and the frontiers spell a run topology, so
-// the 16-candidate grid costs 16 evaluations (12 mixed tuples plus the
-// 4 shared uniform points) and a following BestTopology on the same
-// system costs none.
+// baselines and the plain sweeps spell a run topology, so the
+// 16-candidate grid costs 16 evaluations (12 mixed tuples plus the 4
+// shared uniform points) and evaluating the four run-topology points
+// afterwards costs none.
 func TestAutotunePlanSharesUniformPoints(t *testing.T) {
 	base := core.DefaultSystem(64)
 	wl := core.Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt}
@@ -90,12 +90,19 @@ func TestAutotunePlanSharesUniformPoints(t *testing.T) {
 	if got := evalpool.Evaluations() - before; got != 16 {
 		t.Errorf("AutotunePlan cost %d evaluations, want 16", got)
 	}
+	topos := hw.Topologies()
+	points := make([]evalpool.Point, len(topos))
+	for i, topo := range topos {
+		sys := base
+		sys.HW.Topology = topo
+		points[i] = evalpool.Point{System: sys, Workload: wl}
+	}
 	before = evalpool.Evaluations()
-	if _, _, err := BestTopology(base, wl); err != nil {
+	if _, err := evalpool.Map(points); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalpool.Evaluations() - before; got != 0 {
-		t.Errorf("BestTopology after AutotunePlan cost %d evaluations, want 0", got)
+		t.Errorf("run-topology points after AutotunePlan cost %d evaluations, want 0", got)
 	}
 }
 
@@ -110,9 +117,9 @@ func TestAutotunePlanPipelineRejected(t *testing.T) {
 }
 
 // The autotuner must honor the base network: under the clustered
-// backhaul that flips the 8-chip BestTopology from ring to
-// fully-connected (the PR 3 finding), the tuned prefill classes flip
-// with it.
+// backhaul that flips the 8-chip best uniform topology from ring to
+// fully-connected (TestBestTopologyAwareOfBackhaul), the tuned prefill
+// classes flip with it.
 func TestAutotunePlanSeesNetwork(t *testing.T) {
 	base := core.DefaultSystem(8)
 	base.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
@@ -131,43 +138,36 @@ func TestAutotunePlanSeesNetwork(t *testing.T) {
 	}
 }
 
-// The frontier points must surface the per-sync C2C attribution the
-// plan decisions rest on (the former omission left plan wins
-// unattributable from frontier output alone).
+// Frontier points must surface the per-sync C2C attribution the plan
+// decisions rest on: each report's ByClass names the active classes on
+// the run topology and sums to the per-chip link time.
 func TestFrontierPointsCarryClassCycles(t *testing.T) {
-	base := core.DefaultSystem(1)
 	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
-	points, err := TopologyFrontier(base, wl, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if len(p.C2CCyclesByClass) != 2 {
-			t.Fatalf("topology point %s/%d: %d classes, want 2", p.Topology, p.Chips, len(p.C2CCyclesByClass))
+	for _, topo := range hw.Topologies() {
+		base := core.DefaultSystem(1)
+		base.HW.Topology = topo
+		points, err := Frontier(base, wl, []int{2, 8})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var sum float64
-		for i, cc := range p.C2CCyclesByClass {
-			if cc.Class != p.Report.ByClass[i].Class || cc.Topology != p.Topology {
-				t.Errorf("%s/%d: class %v mismatched", p.Topology, p.Chips, cc)
+		for _, p := range points {
+			if len(p.Report.ByClass) != 2 {
+				t.Fatalf("%s/%d: %d classes, want 2", topo, p.Chips, len(p.Report.ByClass))
 			}
-			sum += cc.C2CCycles
-		}
-		var chips float64
-		for _, st := range p.Report.PerChip {
-			chips += st.C2CCycles
-		}
-		if sum != chips {
-			t.Errorf("%s/%d: class cycles %g != chip totals %g", p.Topology, p.Chips, sum, chips)
-		}
-	}
-	nets, err := NetworkFrontier(base, wl, []int{8},
-		[]hw.Network{hw.UniformNetwork(hw.MIPI())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range nets {
-		if len(p.C2CCyclesByClass) != 2 {
-			t.Fatalf("network point %s/%d lacks class attribution", p.Topology, p.Chips)
+			var sum float64
+			for _, cs := range p.Report.ByClass {
+				if cs.Topology != topo {
+					t.Errorf("%s/%d: class %s ran on %s", topo, p.Chips, cs.Class, cs.Topology)
+				}
+				sum += cs.C2CCycles
+			}
+			var chips float64
+			for _, st := range p.Report.PerChip {
+				chips += st.C2CCycles
+			}
+			if sum != chips {
+				t.Errorf("%s/%d: class cycles %g != chip totals %g", topo, p.Chips, sum, chips)
+			}
 		}
 	}
 }

@@ -185,46 +185,3 @@ func TestPlanFrontierNetworks(t *testing.T) {
 		t.Error("no Pareto-optimal point in the union")
 	}
 }
-
-// PlanBudgetFit early-exits at the smallest chip count whose tuned
-// plan meets the budgets, decides on exact numbers, and names the
-// binding constraint when no count fits.
-func TestPlanBudgetFit(t *testing.T) {
-	base := core.DefaultSystem(1)
-	cfg := model.TinyLlama42M()
-
-	// Unbounded budgets: the very first legal count wins.
-	fit, err := PlanBudgetFit(base, cfg, 8, math.Inf(1), math.Inf(1), PlanFrontierOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Chips != 1 {
-		t.Errorf("unbounded budgets fit %d chips, want 1", fit.Chips)
-	}
-
-	// A latency budget only the tuned 8-chip session meets: the fit
-	// must land on 8 chips with a point that meets it exactly.
-	res8, err := AutotuneSession(core.DefaultSystem(8), cfg, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := res8.PrefillReport.Seconds + res8.DecodeReport.Seconds
-	fit, err = PlanBudgetFit(base, cfg, 8, budget, math.Inf(1), PlanFrontierOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Seconds > budget {
-		t.Errorf("fit returned %g s over the %g s budget", fit.Seconds, budget)
-	}
-	if fit.Chips != 8 {
-		t.Errorf("tightest latency budget fit %d chips, want 8", fit.Chips)
-	}
-
-	// Unreachable budgets name the binding constraint.
-	if _, err := PlanBudgetFit(base, cfg, 8, 0, math.Inf(1), PlanFrontierOptions{}); err == nil {
-		t.Error("zero latency budget accepted")
-	}
-	if _, err := PlanBudgetFit(base, cfg, 8, math.Inf(1), 0, PlanFrontierOptions{}); err == nil {
-		t.Error("zero energy budget accepted")
-	}
-}

@@ -15,7 +15,7 @@ import (
 // package is spelled on. A search names its candidates in the one
 // canonical order (odometer), ranks its predictions with the one
 // stable top-K (rankByCost), verifies the chosen set through the one
-// deduplicated evaluator (evalSet, evalCands, grid), and reduces the
+// deduplicated evaluator (evalSet, evalCands), and reduces the
 // verified set with the shared reductions (argmin, paretoMask,
 // concordance). Searches differ only in their candidate spelling and
 // the reduction they apply.
@@ -163,8 +163,8 @@ func (e *evalSet) run(what string) ([]*core.Report, error) {
 // sessionModePoint spells one phase's exact evaluation of a plan with
 // only the phase's own classes bound. All of the phase's classes on
 // one topology collapse to the zero-plan + run-topology spelling,
-// sharing cache entries with the uniform baselines, BestTopology, and
-// the frontier sweeps; mixed tuples bind the phase's classes
+// sharing cache entries with the uniform baselines and the plain
+// run-topology sweeps; mixed tuples bind the phase's classes
 // explicitly. The base system's own SyncPlan is overridden either way.
 func sessionModePoint(base core.System, m sessionMode, plan collective.Plan) evalpool.Point {
 	sys := base
@@ -230,51 +230,6 @@ func evalCands(base core.System, modes []sessionMode, plans []collective.Plan, d
 		out[i] = vp
 	}
 	return out, nil
-}
-
-// cell is one exactly evaluated point of the chips × topology ×
-// network grid.
-type cell struct {
-	net    hw.Network
-	topo   hw.Topology
-	chips  int
-	report *core.Report
-	pareto bool
-}
-
-// grid evaluates the workload over every (network, topology, chip
-// count) combination — networks outermost, chip counts innermost — and
-// marks the latency/energy Pareto front across the union. The
-// frontier searches and BestTopology are projections of it.
-func grid(base core.System, wl core.Workload, chips []int, topos []hw.Topology, nets []hw.Network) ([]cell, error) {
-	cells := make([]cell, 0, len(nets)*len(topos)*len(chips))
-	points := make([]evalpool.Point, 0, cap(cells))
-	for _, net := range nets {
-		for _, topo := range topos {
-			for _, n := range chips {
-				sys := base
-				sys.HW.Network = net
-				sys.HW.Topology = topo
-				sys.Chips = n
-				points = append(points, evalpool.Point{System: sys, Workload: wl})
-				cells = append(cells, cell{net: net, topo: topo, chips: n})
-			}
-		}
-	}
-	reports, err := evalpool.Map(points)
-	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
-	}
-	secs := make([]float64, len(reports))
-	joules := make([]float64, len(reports))
-	for i, rep := range reports {
-		cells[i].report = rep
-		secs[i], joules[i] = rep.Seconds, rep.Energy.Total()
-	}
-	for i, p := range paretoMask(secs, joules) {
-		cells[i].pareto = p
-	}
-	return cells, nil
 }
 
 // paretoMask flags points not dominated in (seconds, joules): a point

@@ -18,9 +18,9 @@ import (
 // binding — and the fitted model predicts any joint plan's session
 // cycles and energy by composing the measured deltas additively, in
 // microseconds instead of simulations. Predictions only ever decide
-// what to verify: every consumer (AutotuneSession, PlanFrontier,
-// PlanBudgetFit) re-evaluates its predicted winners exactly and
-// decides on exact numbers.
+// what to verify: every consumer (AutotuneSession, PlanFrontier)
+// re-evaluates its predicted winners exactly and decides on exact
+// numbers.
 //
 // The single-deviation probes make the prediction exact whenever at
 // most one class per phase leaves the reference topology; the residual

@@ -80,13 +80,6 @@ func CachedSchedule(p hw.Params, n int) (*Schedule, error) {
 // cache-hit tests pin.
 func Lowerings() uint64 { return lowerings.Load() }
 
-// ScheduleCacheSize returns the number of interned entries.
-func ScheduleCacheSize() int {
-	internMu.Lock()
-	defer internMu.Unlock()
-	return len(internMap)
-}
-
 // ResetScheduleCache drops every interned schedule (the cache has no
 // eviction of its own). The lowering counter keeps counting across
 // resets. Primarily a test hook; per-edge tables registered with

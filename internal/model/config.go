@@ -9,6 +9,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // NormKind selects the per-block normalization.
@@ -352,4 +353,37 @@ func PaperSeqLen(c Config, m Mode) int {
 		return 16
 	}
 	return 128
+}
+
+// ByName maps a command-line model spelling (case-insensitive) to its
+// preset: tinyllama, scaled (alias tinyllama64), mobilebert, smollm
+// or edgellama.
+func ByName(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "tinyllama":
+		return TinyLlama42M(), nil
+	case "scaled", "tinyllama64":
+		return TinyLlamaScaled64(), nil
+	case "mobilebert":
+		return MobileBERT512(), nil
+	case "smollm":
+		return SmolLM135M(), nil
+	case "edgellama":
+		return EdgeLlama1B(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown model %q (tinyllama | scaled | mobilebert | smollm | edgellama)", name)
+	}
+}
+
+// ParseMode maps a command-line mode spelling (case-insensitive) to a
+// Mode: autoregressive (alias ar) or prompt.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "autoregressive", "ar":
+		return Autoregressive, nil
+	case "prompt":
+		return Prompt, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q (autoregressive | prompt)", name)
+	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mcudist/internal/tensor"
@@ -363,5 +364,66 @@ func BenchmarkForwardStep(b *testing.B) {
 			Forward(w, tensor.Random(8, cfg.E, 1, 2), cache)
 		}
 		ForwardStep(w, x, cache)
+	}
+}
+
+// ByName and ParseMode accept every command-line spelling, case
+// folded, and reject anything else with an error naming the accepted
+// set — a misspelled mode must never fall through to a default.
+func TestByNameAndParseMode(t *testing.T) {
+	models := []struct {
+		in   string
+		want string // preset name; empty = rejected
+	}{
+		{"tinyllama", TinyLlama42M().Name},
+		{"TinyLlama", TinyLlama42M().Name},
+		{"scaled", TinyLlamaScaled64().Name},
+		{"tinyllama64", TinyLlamaScaled64().Name},
+		{"mobilebert", MobileBERT512().Name},
+		{"smollm", SmolLM135M().Name},
+		{"edgellama", EdgeLlama1B().Name},
+		{"xyz", ""},
+		{"", ""},
+	}
+	for _, c := range models {
+		cfg, err := ByName(c.in)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("ByName(%q) accepted as %s", c.in, cfg.Name)
+		case c.want == "" && !strings.Contains(err.Error(), "tinyllama | scaled"):
+			t.Errorf("ByName(%q) error %q does not name the accepted set", c.in, err)
+		case c.want != "" && err != nil:
+			t.Errorf("ByName(%q): %v", c.in, err)
+		case c.want != "" && cfg.Name != c.want:
+			t.Errorf("ByName(%q) = %s, want %s", c.in, cfg.Name, c.want)
+		}
+	}
+	modes := []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"autoregressive", Autoregressive, true},
+		{"ar", Autoregressive, true},
+		{"AR", Autoregressive, true},
+		{"prompt", Prompt, true},
+		{"Prompt", Prompt, true},
+		{"pipeline", 0, false},
+		{"p", 0, false},
+		{"xyz", 0, false},
+		{"", 0, false},
+	}
+	for _, c := range modes {
+		m, err := ParseMode(c.in)
+		switch {
+		case !c.ok && err == nil:
+			t.Errorf("ParseMode(%q) accepted as %s", c.in, m)
+		case !c.ok && !strings.Contains(err.Error(), "autoregressive | prompt"):
+			t.Errorf("ParseMode(%q) error %q does not name the accepted set", c.in, err)
+		case c.ok && err != nil:
+			t.Errorf("ParseMode(%q): %v", c.in, err)
+		case c.ok && m != c.want:
+			t.Errorf("ParseMode(%q) = %s, want %s", c.in, m, c.want)
+		}
 	}
 }

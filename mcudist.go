@@ -97,17 +97,11 @@ type (
 	// per-class cost vector (the measured cycle delta of one
 	// class-to-topology binding).
 	SessionClassCost = explore.ClassCost
-	// Surrogate is the fitted per-class additive session cost model:
-	// a handful of probe simulations, then microsecond predictions of
-	// any joint plan's cycles, seconds, and joules. Predictions only
-	// choose what to verify — every search decides on exact numbers.
-	Surrogate = explore.Surrogate
 	// VerifiedPlan is one exactly-evaluated joint plan next to the
 	// surrogate's predictions for it.
 	VerifiedPlan = explore.VerifiedPlan
-	// PlanFrontierOptions tunes PlanFrontier and PlanBudgetFit (extra
-	// networks, seed size, exhaustive ground-truth mode, sequence
-	// lengths).
+	// PlanFrontierOptions tunes PlanFrontier (extra networks, seed
+	// size, exhaustive ground-truth mode, sequence lengths).
 	PlanFrontierOptions = explore.PlanFrontierOptions
 	// PlanFrontierResult is a surrogate-first plan frontier scan: every
 	// verified (network, chips, plan) point, Pareto marks across the
@@ -192,12 +186,9 @@ type (
 	// pristine autotune, the fault set, and the stale-vs-replanned
 	// comparison on the degraded board.
 	ResilienceStudy = resilience.Study
-	// SessionPlanCost is one exactly-evaluated session of a fixed
-	// joint plan, as deployed (see EvalSessionPlan).
-	SessionPlanCost = explore.SessionCost
 	// ReplanResult compares serving a stale plan on a degraded system
-	// against re-planning for it (see ReplanSession); MarginCycles is
-	// the resilience margin.
+	// against re-planning for it (ResilienceStudy.Replan); MarginCycles
+	// is the resilience margin.
 	ReplanResult = explore.ReplanResult
 )
 
@@ -230,12 +221,6 @@ type (
 	GenerationReport = core.GenerationReport
 	// ExplorePoint is one configuration of a design-space sweep.
 	ExplorePoint = explore.Point
-	// TopologyPoint is one (topology, chip count) configuration of a
-	// topology-aware design-space sweep.
-	TopologyPoint = explore.TopologyPoint
-	// NetworkPoint is one (topology, network, chip count)
-	// configuration of a network-aware design-space sweep.
-	NetworkPoint = explore.NetworkPoint
 )
 
 // Inference modes.
@@ -452,19 +437,6 @@ func Topologies() []Topology { return hw.Topologies() }
 // fully-connected) to a Topology.
 func ParseTopology(s string) (Topology, error) { return hw.ParseTopology(s) }
 
-// BestTopology evaluates every interconnect shape on the base system
-// and returns the lowest-latency one with its report.
-func BestTopology(base System, wl Workload) (Topology, *Report, error) {
-	return explore.BestTopology(base, wl)
-}
-
-// TopologyFrontier evaluates the workload over the full topology ×
-// chip-count grid and marks the latency/energy Pareto front across
-// the union.
-func TopologyFrontier(base System, wl Workload, chips []int) ([]TopologyPoint, error) {
-	return explore.TopologyFrontier(base, wl, chips)
-}
-
 // SyncClasses returns every synchronization class, in enum order —
 // the axis a per-sync collective plan binds topologies on.
 func SyncClasses() []SyncClass { return collective.Classes() }
@@ -500,26 +472,9 @@ func AutotuneSession(base System, cfg Config, opts SessionOptions) (*SessionResu
 	return explore.AutotuneSession(base, cfg, opts)
 }
 
-// AutotuneSessionNetworks tunes one joint session plan per network
-// profile on otherwise identical systems — the clustered boards'
-// "plan per network" deployment question — returning results in input
-// order.
-func AutotuneSessionNetworks(base System, cfg Config, opts SessionOptions, nets []Network) ([]*SessionResult, error) {
-	return explore.AutotuneSessionNetworks(base, cfg, opts, nets)
-}
-
 // DefaultSessionTopK is the number of predicted-best candidates
 // AutotuneSession verifies exactly when SessionOptions.TopK is zero.
 const DefaultSessionTopK = explore.DefaultSessionTopK
-
-// FitSurrogate fits the additive per-class session cost model on the
-// base system's chip count and network from one probe simulation per
-// (phase, class, topology) — the reusable predictor behind
-// AutotuneSession, PlanFrontier, and PlanBudgetFit, exposed for
-// custom searches.
-func FitSurrogate(base System, cfg Config, opts SessionOptions) (*Surrogate, error) {
-	return explore.FitSurrogate(base, cfg, opts)
-}
 
 // PlanFrontier scans the joint plan grid across networks × chip
 // counts surrogate-first: fit a cost model per cell, verify only the
@@ -529,14 +484,6 @@ func FitSurrogate(base System, cfg Config, opts SessionOptions) (*Surrogate, err
 // at a fraction of the evaluations.
 func PlanFrontier(base System, cfg Config, chips []int, opts PlanFrontierOptions) (*PlanFrontierResult, error) {
 	return explore.PlanFrontier(base, cfg, chips, opts)
-}
-
-// PlanBudgetFit returns the smallest legal chip count whose tuned
-// session plan meets both budgets (either may be +Inf), deciding on
-// exact numbers; the error names the binding constraint when no count
-// fits.
-func PlanBudgetFit(base System, cfg Config, maxChips int, maxSeconds, maxJoules float64, opts PlanFrontierOptions) (*PlanPoint, error) {
-	return explore.PlanBudgetFit(base, cfg, maxChips, maxSeconds, maxJoules, opts)
 }
 
 // LPDDR5 returns a representative DRAM-backed memory hierarchy for
@@ -593,14 +540,6 @@ func TableNetwork(edges map[Edge]LinkClass) (Network, error) { return hw.TableNe
 // ParseNetworkProfile maps a command-line spelling (uniform |
 // clustered | table) to a NetworkProfile.
 func ParseNetworkProfile(s string) (NetworkProfile, error) { return hw.ParseNetworkProfile(s) }
-
-// NetworkFrontier evaluates the workload over the full topology ×
-// network × chip-count grid and marks the latency/energy Pareto front
-// across the union — the link layer as an exploration axis next to
-// the shape and the chip count.
-func NetworkFrontier(base System, wl Workload, chips []int, nets []Network) ([]NetworkPoint, error) {
-	return explore.NetworkFrontier(base, wl, chips, nets)
-}
 
 // RunFleet serves a request trace on a fleet of chip groups with
 // continuous batching of decode steps. Every step is priced through
@@ -683,22 +622,6 @@ func Perturb(sys System, faults ...Fault) (System, []int, error) {
 // actually served after a mid-trace fault.
 func Degrade(sys System, cfg Config, faults ...Fault) (System, []int, error) {
 	return resilience.Degrade(sys, cfg, faults...)
-}
-
-// EvalSessionPlan exactly evaluates one fixed joint collective plan as
-// a deployed session (prefill plus the decode stream) on the given
-// system.
-func EvalSessionPlan(sys System, cfg Config, plan SyncPlan, opts SessionOptions) (*SessionPlanCost, error) {
-	return explore.EvalSessionPlan(sys, cfg, plan, opts)
-}
-
-// ReplanSession compares serving a stale plan on a degraded system
-// against re-planning for it, adopting whichever is faster;
-// MarginCycles (>= 1, +Inf when the stale plan no longer routes) is
-// the resilience margin — the factor the session pays for not
-// re-planning.
-func ReplanSession(degraded System, cfg Config, stale SyncPlan, opts SessionOptions) (*ReplanResult, error) {
-	return explore.ReplanSession(degraded, cfg, stale, opts)
 }
 
 // ReplanStudy runs the full resilience measurement: autotune the
