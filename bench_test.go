@@ -3,7 +3,7 @@ package mcudist
 // Benchmark harness: one benchmark per table and figure of the
 // paper's evaluation section (see DESIGN.md for the experiment
 // index), plus the ablations. Each iteration regenerates the full
-// experiment through the deployment planner, the event-driven
+// experiment through the deployment planner, the performance
 // simulator, and the energy model; figure data is attached as custom
 // benchmark metrics so `go test -bench` output doubles as the
 // numeric record of the reproduction.
@@ -641,11 +641,11 @@ func BenchmarkSurrogateFrontier(b *testing.B) {
 	b.ReportMetric(float64(res.GridSims)/float64(res.ExactSims), "sims_saved_x")
 }
 
-// BenchmarkEventsimEngine measures the discrete-event core's hot loop
+// BenchmarkEventsimEngine measures the fleet event queue's hot loop
 // — schedule-and-drain through the intrusive value-typed event heap —
-// at a cascade depth typical of a lowered schedule. The events_per_op
-// metric makes ns/event comparable across runs; zero allocations per
-// event is the pinned property (the heap holds events by value, so
+// in cascading waves of 64 events. The events_per_op metric makes
+// ns/event comparable across runs; zero allocations per event is the
+// pinned property (the heap holds events by value, so
 // steady-state scheduling reuses the slice's capacity).
 func BenchmarkEventsimEngine(b *testing.B) {
 	const fanout, waves = 64, 32

@@ -64,6 +64,17 @@ func TestSingleflightSurvivesReset(t *testing.T) {
 	sys := core.DefaultSystem(2)
 	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
 
+	// Hold the flight open until Reset has landed, so the cache drop
+	// always falls inside the flight.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { simulate = core.Run })
+	simulate = func(sys core.System, wl core.Workload) (*core.Report, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return core.Run(sys, wl)
+	}
+
 	const goroutines = 32
 	var done sync.WaitGroup
 	done.Add(goroutines)
@@ -75,7 +86,9 @@ func TestSingleflightSurvivesReset(t *testing.T) {
 			}
 		}()
 	}
-	p.Reset() // concurrent with the flight: must not double-simulate
+	<-started
+	p.Reset() // during the flight: must not double-simulate
+	close(release)
 	done.Wait()
 
 	if sims := p.Simulations(); sims != 1 {

@@ -41,15 +41,17 @@ func TestSimultaneousEventsAreFIFO(t *testing.T) {
 	}
 }
 
+// An event scheduled relative to the clock from inside a callback —
+// how the fleet schedules a step's completion — fires at now + delay.
 func TestAfterSchedulesRelative(t *testing.T) {
 	eng := NewEngine()
 	var hit Time = -1
 	eng.At(10, func() {
-		eng.After(5, func() { hit = eng.Now() })
+		eng.At(eng.Now()+5, func() { hit = eng.Now() })
 	})
 	eng.Run()
 	if hit != 15 {
-		t.Fatalf("After fired at %v, want 15", hit)
+		t.Fatalf("relative event fired at %v, want 15", hit)
 	}
 }
 
@@ -66,6 +68,8 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	eng.Run()
 }
 
+// A negative delay from the initial clock schedules before time zero,
+// which is in the past too.
 func TestNegativeDelayPanics(t *testing.T) {
 	eng := NewEngine()
 	defer func() {
@@ -73,114 +77,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	eng.After(-1, func() {})
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	eng := NewEngine()
-	var ran []Time
-	for _, at := range []Time{1, 2, 3, 10, 20} {
-		at := at
-		eng.At(at, func() { ran = append(ran, at) })
-	}
-	eng.RunUntil(5)
-	if len(ran) != 3 {
-		t.Fatalf("RunUntil(5) ran %d events, want 3", len(ran))
-	}
-	if eng.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", eng.Pending())
-	}
-	eng.Run()
-	if len(ran) != 5 {
-		t.Fatalf("Run after RunUntil ran %d total, want 5", len(ran))
-	}
-}
-
-func TestResourceSerializesUsers(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "dma")
-	var spans [][2]Time
-	for i := 0; i < 3; i++ {
-		r.Use(10, func(s, e Time) { spans = append(spans, [2]Time{s, e}) })
-	}
-	eng.Run()
-	want := [][2]Time{{0, 10}, {10, 20}, {20, 30}}
-	for i, sp := range spans {
-		if sp != want[i] {
-			t.Fatalf("span %d = %v, want %v", i, sp, want[i])
-		}
-	}
-	if r.BusyTime() != 30 {
-		t.Fatalf("busy = %v, want 30", r.BusyTime())
-	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses())
-	}
-}
-
-func TestResourceUseAfterHonorsReadyTime(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "link")
-	var first, second [2]Time
-	r.UseAfter(100, 10, func(s, e Time) { first = [2]Time{s, e} })
-	// Queued behind the first, even though ready earlier.
-	r.UseAfter(0, 10, func(s, e Time) { second = [2]Time{s, e} })
-	eng.Run()
-	if first != [2]Time{100, 110} {
-		t.Fatalf("first = %v, want [100 110]", first)
-	}
-	if second != [2]Time{110, 120} {
-		t.Fatalf("second = %v, want [110 120]", second)
-	}
-}
-
-func TestResourceInterleavedWithEvents(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "cluster")
-	var end Time
-	eng.At(50, func() {
-		r.Use(25, func(_, e Time) { end = e })
-	})
-	eng.Run()
-	if end != 75 {
-		t.Fatalf("usage scheduled at t=50 ended at %v, want 75", end)
-	}
-}
-
-func TestBarrierReleasesAtLatestArrival(t *testing.T) {
-	eng := NewEngine()
-	var released Time = -1
-	b := NewBarrier(eng, 3, func(at Time) { released = at })
-	b.Arrive(5)
-	b.Arrive(42)
-	b.Arrive(17)
-	eng.Run()
-	if released != 42 {
-		t.Fatalf("released at %v, want 42", released)
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	eng := NewEngine()
-	var released Time = -1
-	b := NewBarrier(eng, 1, func(at Time) { released = at })
-	b.Arrive(9)
-	eng.Run()
-	if released != 9 {
-		t.Fatalf("released at %v, want 9", released)
-	}
-}
-
-func TestBarrierExtraArrivalPanics(t *testing.T) {
-	eng := NewEngine()
-	b := NewBarrier(eng, 1, func(Time) {})
-	b.Arrive(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("extra arrival did not panic")
-		}
-	}()
-	b.Arrive(2)
+	eng.At(eng.Now()-1, func() {})
 }
 
 // Property: for any random set of event times, execution order is the
@@ -215,61 +112,16 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 }
 
-// Property: a resource's total busy time equals the sum of requested
-// durations, and usage spans never overlap.
-func TestPropertyResourceNoOverlap(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		if len(raw) > 100 {
-			raw = raw[:100]
-		}
-		eng := NewEngine()
-		r := NewResource(eng, "x")
-		var spans [][2]Time
-		var total Time
-		for _, v := range raw {
-			d := Time(v)
-			total += d
-			r.Use(d, func(s, e Time) { spans = append(spans, [2]Time{s, e}) })
-		}
-		eng.Run()
-		if r.BusyTime() != total {
-			return false
-		}
-		for i := 1; i < len(spans); i++ {
-			if spans[i][0] < spans[i-1][1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProcessedCounter(t *testing.T) {
-	eng := NewEngine()
-	const n = 37
-	for i := 0; i < n; i++ {
-		eng.At(Time(i), func() {})
-	}
-	eng.Run()
-	if eng.Processed() != n {
-		t.Fatalf("processed = %d, want %d", eng.Processed(), n)
-	}
-}
-
+// BenchmarkEngineThroughput schedules random short delays from the
+// current clock and drains the queue every 1024 events.
 func BenchmarkEngineThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	eng := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng.At(eng.Now()+Time(rng.Intn(64)), func() {})
-		if eng.Pending() > 1024 {
-			eng.RunUntil(eng.Now() + 32)
+		if i%1024 == 1023 {
+			eng.Run()
 		}
 	}
 	eng.Run()

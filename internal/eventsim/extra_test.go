@@ -19,105 +19,16 @@ func TestNonFiniteTimePanics(t *testing.T) {
 	}
 }
 
-func TestRunUntilExactBoundary(t *testing.T) {
-	eng := NewEngine()
-	hits := 0
-	eng.At(10, func() { hits++ })
-	eng.At(10.0000001, func() { hits++ })
-	eng.RunUntil(10)
-	if hits != 1 {
-		t.Fatalf("hits = %d, want 1 (boundary inclusive, later exclusive)", hits)
-	}
-}
-
-func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
-	eng := NewEngine()
-	eng.At(100, func() {})
-	eng.RunUntil(50)
-	if eng.Now() != 50 {
-		t.Fatalf("clock at %g, want 50", eng.Now())
-	}
-}
-
-func TestRunUntilEmptyQueueKeepsClock(t *testing.T) {
-	eng := NewEngine()
-	eng.At(5, func() {})
-	eng.Run()
-	eng.RunUntil(100)
-	// No pending events: the clock must not jump forward.
-	if eng.Now() != 5 {
-		t.Fatalf("clock at %g, want 5", eng.Now())
-	}
-}
-
 func TestEventsScheduledDuringRun(t *testing.T) {
 	eng := NewEngine()
 	var order []string
 	eng.At(1, func() {
 		order = append(order, "a")
 		eng.At(2, func() { order = append(order, "c") })
-		eng.After(0.5, func() { order = append(order, "b") })
+		eng.At(eng.Now()+0.5, func() { order = append(order, "b") })
 	})
 	eng.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestNegativeUsePanics(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "x")
-	for _, f := range []func(){
-		func() { r.Use(-1, nil) },
-		func() { r.UseAfter(0, -1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("negative duration accepted")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestZeroDurationUse(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "x")
-	end := r.Use(0, nil)
-	if end != 0 {
-		t.Fatalf("zero use ended at %g", end)
-	}
-	if r.Uses() != 1 {
-		t.Fatal("zero use not counted")
-	}
-}
-
-func TestBarrierZeroPartiesPanics(t *testing.T) {
-	eng := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-party barrier accepted")
-		}
-	}()
-	NewBarrier(eng, 0, func(Time) {})
-}
-
-func TestResourceName(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "dma0")
-	if r.Name() != "dma0" {
-		t.Fatalf("name = %q", r.Name())
-	}
-}
-
-func TestFreeAtTracksQueue(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, "x")
-	r.Use(10, nil)
-	r.Use(5, nil)
-	if r.FreeAt() != 15 {
-		t.Fatalf("freeAt = %g, want 15", r.FreeAt())
 	}
 }

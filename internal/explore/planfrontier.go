@@ -78,12 +78,13 @@ type PlanFrontierResult struct {
 // returns its verified candidates in enumeration order.
 func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]VerifiedPlan, int, error) {
 	sopts := SessionOptions{PromptSeqLen: opts.PromptSeqLen, DecodeSeqLen: opts.DecodeSeqLen}
+	modes, union, err := sessionModes(sys, cfg, sopts)
+	if err != nil {
+		return nil, 0, err
+	}
+	topos := hw.Topologies()
 	if opts.Exhaustive {
-		modes, union, err := sessionModes(sys, cfg, sopts)
-		if err != nil {
-			return nil, 0, err
-		}
-		out, err := evalCands(sys, modes, planGrid(union, hw.Topologies()), true, "session grid")
+		out, err := evalCands(sys, modes, planGrid(union, topos), true, "session grid")
 		if err != nil {
 			return nil, 0, err
 		}
@@ -95,16 +96,22 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 		return out, len(out), nil
 	}
 
-	s, err := FitSurrogate(sys, cfg, sopts)
+	refIdx := topoIndex(topos, sys.HW.Topology)
+	if refIdx < 0 {
+		return nil, 0, fmt.Errorf("explore: %s is not a supported topology", sys.HW.Topology)
+	}
+	s, err := fitSurrogate(sys, modes, union, topos, refIdx)
 	if err != nil {
 		return nil, 0, err
 	}
-	cands := s.Candidates()
+	cands := odometer(len(union), len(topos))
+	preds := make([][numObjectives]float64, len(cands))
 	predS := make([]float64, len(cands))
 	predJ := make([]float64, len(cands))
-	for i, p := range cands {
-		predS[i] = s.PredictSeconds(p)
-		predJ[i] = s.PredictJoules(p)
+	for i, idx := range cands {
+		preds[i] = s.predict(idx)
+		predS[i] = preds[i][objSeconds]
+		predJ[i] = preds[i][objJoules]
 	}
 
 	topK := opts.TopK
@@ -121,9 +128,8 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 			seed[i] = true
 		}
 	}
-	nTopos := len(hw.Topologies())
-	for ti := 0; ti < nTopos; ti++ {
-		seed[allSameIndex(ti, len(s.union), nTopos)] = true
+	for ti := range topos {
+		seed[allSameIndex(ti, len(union), len(topos))] = true
 	}
 	band := slices.Sorted(maps.Keys(seed))
 
@@ -144,14 +150,18 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 	for len(band) > 0 {
 		plans := make([]collective.Plan, len(band))
 		for j, i := range band {
-			plans[j] = cands[i]
+			plans[j] = bind(union, topos, cands[i])
 		}
-		verified, err := s.Verify(sys, plans)
+		verified, err := evalCands(sys, modes, plans, false, "session verify")
 		if err != nil {
 			return nil, 0, err
 		}
 		for j, i := range band {
-			got[i] = verified[j]
+			vp := verified[j]
+			vp.PredictedCycles = preds[i][objCycles]
+			vp.PredictedSeconds = preds[i][objSeconds]
+			vp.PredictedJoules = preds[i][objJoules]
+			got[i] = vp
 		}
 		var errS, errJ float64
 		for i, vp := range got {

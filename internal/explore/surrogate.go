@@ -1,12 +1,9 @@
 package explore
 
 import (
-	"fmt"
-
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
 	"mcudist/internal/hw"
-	"mcudist/internal/model"
 )
 
 // Surrogate is the per-class additive cost model behind every
@@ -29,11 +26,8 @@ import (
 // the shared evalpool tiers, so a store-backed process fits the
 // surrogate without simulating at all.
 type Surrogate struct {
-	modes  []sessionMode
-	union  []collective.SyncClass
-	topos  []hw.Topology
-	refIdx int
-	pos    map[collective.SyncClass]int // union class -> candidate index position
+	modes []sessionMode
+	pos   map[collective.SyncClass]int // union class -> candidate index position
 
 	// Per-phase all-reference baselines and per (phase, class,
 	// topology) measured deltas, one entry per objective. The energy
@@ -57,23 +51,6 @@ const (
 // objectives reads a report's cost on every objective.
 func objectives(rep *core.Report) [numObjectives]float64 {
 	return [numObjectives]float64{rep.Cycles, rep.Seconds, rep.Energy.Total()}
-}
-
-// FitSurrogate fits the additive session cost model for the base
-// system's chip count and network: one whole-session probe per
-// (phase, class, topology), cycles and energy both. The base system's
-// run topology is the reference the deltas are measured against.
-func FitSurrogate(base core.System, cfg model.Config, opts SessionOptions) (*Surrogate, error) {
-	modes, union, err := sessionModes(base, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	topos := hw.Topologies()
-	refIdx := topoIndex(topos, base.HW.Topology)
-	if refIdx < 0 {
-		return nil, fmt.Errorf("explore: %s is not a supported topology", base.HW.Topology)
-	}
-	return fitSurrogate(base, modes, union, topos, refIdx)
 }
 
 // fitSurrogate runs the probe simulations — the uniform sessions (the
@@ -118,13 +95,10 @@ func fitSurrogate(base core.System, modes []sessionMode, union []collective.Sync
 		return nil, err
 	}
 	s := &Surrogate{
-		modes:  modes,
-		union:  union,
-		topos:  topos,
-		refIdx: refIdx,
-		pos:    make(map[collective.SyncClass]int, len(union)),
-		base:   make([][numObjectives]float64, len(modes)),
-		delta:  make([]map[collective.SyncClass][][numObjectives]float64, len(modes)),
+		modes: modes,
+		pos:   make(map[collective.SyncClass]int, len(union)),
+		base:  make([][numObjectives]float64, len(modes)),
+		delta: make([]map[collective.SyncClass][][numObjectives]float64, len(modes)),
 	}
 	for i, c := range union {
 		s.pos[c] = i
@@ -160,66 +134,12 @@ func fitSurrogate(base core.System, modes []sessionMode, union []collective.Sync
 		s.costs = append(s.costs, ClassCost{
 			Mode:        modes[pr.mode].wl.Mode,
 			Class:       pr.class,
-			Topology:    s.topos[pr.topo],
+			Topology:    topos[pr.topo],
 			DeltaCycles: d[objCycles],
 			C2CCycles:   classC2C(rep, pr.class),
 		})
 	}
 	return s, nil
-}
-
-// Classes returns the session's joint plan axis: the ordered union of
-// both phases' active synchronization classes.
-func (s *Surrogate) Classes() []collective.SyncClass {
-	return append([]collective.SyncClass(nil), s.union...)
-}
-
-// Reference returns the topology the deltas are measured against (the
-// fitted system's run topology).
-func (s *Surrogate) Reference() hw.Topology { return s.topos[s.refIdx] }
-
-// Costs returns the fitted per-class cost vector — the decomposition
-// behind every prediction, reportable as a table.
-func (s *Surrogate) Costs() []ClassCost {
-	return append([]ClassCost(nil), s.costs...)
-}
-
-// Candidates enumerates the full joint class × topology grid as bound
-// plans, in the canonical odometer order (first union class cycling
-// fastest) every search in this package shares, so ties resolve
-// identically everywhere.
-func (s *Surrogate) Candidates() []collective.Plan {
-	return planGrid(s.union, s.topos)
-}
-
-// planIdx resolves a plan to per-union-class topology indices;
-// unbound classes resolve to the reference topology.
-func (s *Surrogate) planIdx(p collective.Plan) []int {
-	idx := make([]int, len(s.union))
-	for i, c := range s.union {
-		idx[i] = topoIndex(s.topos, p.Topology(c, s.topos[s.refIdx]))
-	}
-	return idx
-}
-
-// PredictCycles predicts the plan's whole-session cycle cost (prompt
-// prefill plus one decode step) from the fitted deltas — a few
-// additions, no simulation.
-func (s *Surrogate) PredictCycles(p collective.Plan) float64 {
-	return s.predict(s.planIdx(p))[objCycles]
-}
-
-// PredictSeconds predicts the plan's whole-session wall time the same
-// way (seconds are fitted from the probe reports directly, so clock
-// differences between phases need no assumptions).
-func (s *Surrogate) PredictSeconds(p collective.Plan) float64 {
-	return s.predict(s.planIdx(p))[objSeconds]
-}
-
-// PredictJoules predicts the plan's whole-session energy the same
-// way.
-func (s *Surrogate) PredictJoules(p collective.Plan) float64 {
-	return s.predict(s.planIdx(p))[objJoules]
 }
 
 // predict composes every objective of a candidate, given as
@@ -237,24 +157,6 @@ func (s *Surrogate) predict(idx []int) [numObjectives]float64 {
 		}
 	}
 	return total
-}
-
-// Verify evaluates the given plans exactly — one phase-restricted
-// point per phase, so probe and uniform configurations are served
-// from the cache tiers — and returns one VerifiedPlan per input, in
-// input order.
-func (s *Surrogate) Verify(base core.System, plans []collective.Plan) ([]VerifiedPlan, error) {
-	out, err := evalCands(base, s.modes, plans, false, "session verify")
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range plans {
-		pred := s.predict(s.planIdx(p))
-		out[i].PredictedCycles = pred[objCycles]
-		out[i].PredictedSeconds = pred[objSeconds]
-		out[i].PredictedJoules = pred[objJoules]
-	}
-	return out, nil
 }
 
 // VerifiedPlan is one exactly-evaluated joint plan next to what the

@@ -12,8 +12,8 @@
 // every tile's DRAM fetch, L2→L1 DMA, compute share, and bank stall.
 // Plan.Makespan evaluates the pipeline recurrence in closed form; the
 // performance simulator replays the identical per-tile costs on its
-// eventsim resources, so the closed form and the event-driven result
-// agree exactly — which is what lets explore.AutotuneTiling use plan
+// device timelines, so the closed form and the simulated result agree
+// exactly — which is what lets explore.AutotuneTiling use plan
 // makespans as a zero-probe additive predictor.
 //
 // Tiling is a real trade-off, not a monotone knob: small tiles overlap
@@ -323,8 +323,8 @@ func PlanGEMM(ch Channel, g GEMM, t Tiling) (*Plan, error) {
 //	fd[i] = max(fd[i-1], cd[i-slots]) + Fetch[i]
 //	cd[i] = max(cd[i-1], fd[i]) + DMA[i] + Comp[i] + Stall[i]
 //
-// The performance simulator replays the same schedule on eventsim
-// resources (io = channel, dma+cluster = work) and lands on this exact
+// The performance simulator replays the same schedule on its device
+// timelines (io = channel, dma+cluster = work) and lands on this exact
 // value — pinned by a test — so plan makespans double as an exact
 // additive predictor for the tiling autotuner.
 func (p *Plan) Makespan() float64 {

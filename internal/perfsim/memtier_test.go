@@ -21,21 +21,17 @@ func dramParams() hw.Params {
 // tiledSim builds a one-chip arena ready for execTiled calls.
 func tiledSim() *Sim {
 	s := NewSim()
-	s.eng.Reset()
-	s.chipRes = growResources(s.chipRes, 3)
-	for i := range s.chipRes {
-		s.chipRes[i].Init(&s.eng, "")
-	}
-	s.cluster = s.chipRes[:1]
-	s.dma = s.chipRes[1:2]
-	s.io = s.chipRes[2:3]
+	s.chipFree = growFloats(s.chipFree, 3)
+	s.cluster = s.chipFree[:1]
+	s.dma = s.chipFree[1:2]
+	s.io = s.chipFree[2:3]
 	s.stats = make([]ChipStats, 1)
 	s.memEnabled = true
 	return s
 }
 
 // TestExecTiledMatchesPlanMakespan pins the identity the autotuner
-// depends on: replaying a tile plan on the eventsim resources takes
+// depends on: replaying a tile plan on the device timelines takes
 // exactly the closed-form makespan, at any start time, and the
 // per-chip buckets sum exactly to the elapsed time.
 func TestExecTiledMatchesPlanMakespan(t *testing.T) {

@@ -1,8 +1,17 @@
-// Package perfsim executes a lowered deployment on the discrete-event
-// substrate and reports what the paper extracts from GVSoC: total
-// runtime in cycles, the runtime breakdown (computation, chip-to-chip
-// link, L3↔L2 DMA, L2↔L1 DMA), and per-chip byte counters for the
-// energy model.
+// Package perfsim executes a lowered deployment on per-device
+// timelines and reports what the paper extracts from GVSoC, the
+// event-driven platform simulator it uses: total runtime in cycles,
+// the runtime breakdown (computation, chip-to-chip link, L3↔L2 DMA,
+// L2↔L1 DMA), and per-chip byte counters for the energy model.
+//
+// Every contended device — a chip's compute cluster, its L2↔L1 DMA
+// engine, its off-chip I/O engine, and each directed chip-to-chip link
+// — is an exclusive resource that serializes its users in FIFO order.
+// The simulator issues every usage in dependency order with an
+// explicit ready time, so a device needs no event queue: its whole
+// state is the time it next falls free (see use). Time is measured in
+// cluster cycles as a float64 so that fractional bandwidth quotients
+// (e.g. 0.5 bytes/cycle) accumulate exactly.
 //
 // Modeling conventions (matching the paper's stacked-bar accounting):
 // compute, L2↔L1 tile movement, and exposed L3 streaming serialize
@@ -36,7 +45,6 @@ import (
 
 	"mcudist/internal/collective"
 	"mcudist/internal/deploy"
-	"mcudist/internal/eventsim"
 	"mcudist/internal/hw"
 	"mcudist/internal/interconnect"
 	"mcudist/internal/kernels"
@@ -153,13 +161,13 @@ type classAccum struct {
 }
 
 // Sim is a reusable simulation arena: one Sim owns every piece of
-// per-run scratch state — the event engine, the chip and link
-// resources, the per-(chip, chunk) readiness matrices, the per-chip
-// and per-class accumulators, the tile buffers — and recycles all of
-// it across runs, so repeated simulations (sweeps, autotuning probes,
-// fleet step pricing) allocate only their Results. The package-level
-// Run/RunTraced draw Sims from an internal sync.Pool; construct one
-// with NewSim to pin an arena to a caller instead.
+// per-run scratch state — the chip and link timelines, the per-(chip,
+// chunk) readiness matrices, the per-chip and per-class accumulators,
+// the tile buffers — and recycles all of it across runs, so repeated
+// simulations (sweeps, autotuning probes, fleet step pricing) allocate
+// only their Results. The package-level Run/RunTraced draw Sims from
+// an internal sync.Pool; construct one with NewSim to pin an arena to
+// a caller instead.
 //
 // A Sim is not safe for concurrent use. Results it returns are copied
 // out of the arena into fresh exact-size allocations, so they stay
@@ -181,17 +189,16 @@ type Sim struct {
 	// activity to.
 	curClass collective.SyncClass
 	classAcc [collective.NumSyncClasses]classAccum
-	eng      eventsim.Engine
-	// chipRes densely backs the per-chip exclusive devices; cluster,
-	// dma, and io are its thirds. linkRes holds one full-duplex
-	// resource per directed chip pair, indexed from*n+to (the hot-path
-	// replacement for a per-pair map of pointers).
-	chipRes []eventsim.Resource
-	cluster []eventsim.Resource
-	dma     []eventsim.Resource
-	io      []eventsim.Resource
-	linkRes []eventsim.Resource
-	n       int
+	// chipFree densely backs the free-at times of the per-chip
+	// exclusive devices; cluster, dma, and io are its thirds. linkFree
+	// holds one full-duplex link's free-at time per directed chip pair,
+	// indexed from*n+to.
+	chipFree []float64
+	cluster  []float64
+	dma      []float64
+	io       []float64
+	linkFree []float64
+	n        int
 	// classes/classID intern the distinct link classes transfers
 	// cross (schedule classes first, pipeline-chain classes in chain
 	// order), defining the per-class accounting axis. The axis is
@@ -229,14 +236,6 @@ type Sim struct {
 	phaseBuf []float64
 	tiles    []int64
 	bcast    []int64
-
-	// linkGen[i] records the generation that last initialized
-	// linkRes[i]; gen is bumped per run, so links are re-initialized
-	// lazily on first touch instead of sweeping all n*n slots — a run
-	// only ever uses the topology's edges, a small fraction of the
-	// dense pair matrix.
-	linkGen []uint32
-	gen     uint32
 
 	// Hardware scalars the per-kernel and per-hop paths read on every
 	// call, cached flat at setup so the hot path never copies the
@@ -296,17 +295,26 @@ func (s *Sim) classIndex(c hw.LinkClass) int {
 	return id
 }
 
-// link returns the exclusive resource of the directed edge from->to,
-// re-initializing the slot in place the first time this run touches
-// it. A run only exercises its topology's edges, so the generation
-// check replaces a per-run sweep of the whole n*n matrix.
-func (s *Sim) link(from, to int) *eventsim.Resource {
-	idx := from*s.n + to
-	if s.linkGen[idx] != s.gen {
-		s.linkGen[idx] = s.gen
-		s.linkRes[idx].Init(&s.eng, "")
+// link returns the free-at time of the directed edge from->to.
+func (s *Sim) link(from, to int) *float64 {
+	return &s.linkFree[from*s.n+to]
+}
+
+// use occupies an exclusive device for dur cycles, queuing FIFO behind
+// its earlier users and starting no earlier than ready, and returns the
+// completion time. free is the device's free-at time, advanced to the
+// completion.
+func use(free *float64, ready, dur float64) float64 {
+	if dur < 0 {
+		panic(fmt.Sprintf("perfsim: negative use duration %v", dur))
 	}
-	return &s.linkRes[idx]
+	start := *free
+	if start < ready {
+		start = ready
+	}
+	end := start + dur
+	*free = end
+	return end
 }
 
 // lowerSched registers one schedule for this run: its classes join the
@@ -400,7 +408,6 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	s.tl = tl
 	s.n = n
 	s.flip = false
-	s.eng.Reset()
 	s.freqHz = d.HW.Chip.FreqHz
 	s.dmaL2BPC = d.HW.Chip.DMAL2L1BytesPerCycle
 	s.dmaL2Setup = d.HW.Chip.DMAL2L1SetupCycles
@@ -508,26 +515,13 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		s.classAcc[c] = classAccum{byLink: carveInts(s.accByLink, c, nc)}
 	}
 
-	// Reusable resources: the chips' exclusive devices and one
-	// full-duplex link per directed pair, re-initialized in place.
-	s.chipRes = growResources(s.chipRes, 3*n)
-	for i := range s.chipRes {
-		s.chipRes[i].Init(&s.eng, "")
-	}
-	s.cluster = s.chipRes[:n]
-	s.dma = s.chipRes[n : 2*n]
-	s.io = s.chipRes[2*n : 3*n]
-	// Link resources initialize lazily on first touch (see link): bump
-	// the generation instead of sweeping the dense n*n slot matrix.
-	s.gen++
-	if s.gen == 0 {
-		// Generation counter wrapped: restart the generation space so
-		// a stale slot can never alias the live generation.
-		s.gen = 1
-		clear(s.linkGen)
-	}
-	s.linkRes = growResources(s.linkRes, n*n)
-	s.linkGen = growGens(s.linkGen, n*n)
+	// Device timelines: the chips' exclusive devices and one
+	// full-duplex link per directed pair, all free from time zero.
+	s.chipFree = growFloats(s.chipFree, 3*n)
+	s.cluster = s.chipFree[:n]
+	s.dma = s.chipFree[n : 2*n]
+	s.io = s.chipFree[2*n : 3*n]
+	s.linkFree = growFloats(s.linkFree, n*n)
 
 	// Synchronization scratch: readiness matrices sized for the widest
 	// schedule, ping-pong arrival buffers, phase timelines.
@@ -653,26 +647,6 @@ func growInts(buf []int64, n int) []int64 {
 	return buf
 }
 
-// growResources resizes a resource arena without zeroing (each
-// element is re-initialized in place).
-func growResources(buf []eventsim.Resource, n int) []eventsim.Resource {
-	if cap(buf) < n {
-		return make([]eventsim.Resource, n)
-	}
-	return buf[:n]
-}
-
-// growGens resizes the link-generation array without zeroing: fresh
-// backing is zero (never the live generation, which starts at 1) and
-// reused slots hold generations from earlier runs, which are always
-// older than the current one.
-func growGens(buf []uint32, n int) []uint32 {
-	if cap(buf) < n {
-		return make([]uint32, n)
-	}
-	return buf[:n]
-}
-
 // carveFloats cuts row i of width nc out of a flat backing array,
 // capacity-clamped. A zero-width axis yields nil, matching the slices
 // a run with no link classes historically reported.
@@ -697,7 +671,7 @@ func (s *Sim) execCost(chip int, t float64, cost *kernels.Cost) float64 {
 	bytes := cost.TotalL2L1Bytes()
 	if bytes > 0 {
 		dmaT := kernels.DMATime(bytes, s.dmaL2BPC, s.dmaL2Setup, s.l1Tile)
-		t = s.dma[chip].UseAfter(t, dmaT, nil)
+		t = use(&s.dma[chip], t, dmaT)
 		s.span(chip, "dma-l2l1", cost.Name, t-dmaT, t)
 		s.stats[chip].L2L1Cycles += dmaT
 		s.stats[chip].L2L1Bytes += bytes
@@ -707,7 +681,7 @@ func (s *Sim) execCost(chip int, t float64, cost *kernels.Cost) float64 {
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			cycles /= f
 		}
-		t = s.cluster[chip].UseAfter(t, cycles, nil)
+		t = use(&s.cluster[chip], t, cycles)
 		s.span(chip, "compute", cost.Name, t-cycles, t)
 		s.stats[chip].ComputeCycles += cycles
 	}
@@ -746,7 +720,7 @@ func (s *Sim) l3Load(chip int, t float64, bytes int64, spill bool) float64 {
 		return t
 	}
 	dur := s.l3Time(bytes)
-	end := s.io[chip].UseAfter(t, dur, nil)
+	end := use(&s.io[chip], t, dur)
 	if s.tl != nil {
 		label := "weights"
 		if spill {
@@ -773,7 +747,7 @@ func (s *Sim) l3Background(chip int, t float64, bytes int64) float64 {
 		return 0
 	}
 	dur := s.l3Time(bytes)
-	end := s.io[chip].UseAfter(t, dur, nil)
+	end := use(&s.io[chip], t, dur)
 	s.span(chip, "dma-l3", "prefetch", end-dur, end)
 	s.stats[chip].L3Bytes += bytes
 	return dur
@@ -832,18 +806,18 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 		if r := ring[i%slots]; r > ready {
 			ready = r
 		}
-		fEnd := s.io[chip].UseAfter(ready, p.Fetch[i], nil)
+		fEnd := use(&s.io[chip], ready, p.Fetch[i])
 		if s.tl != nil {
 			s.span(chip, "dma-l3", "tile-fetch", fEnd-p.Fetch[i], fEnd)
 		}
-		dEnd := s.dma[chip].UseAfter(maxF(fEnd, prevCd), p.DMA[i], nil)
+		dEnd := use(&s.dma[chip], maxF(fEnd, prevCd), p.DMA[i])
 		s.span(chip, "dma-l2l1", cost.Name, dEnd-p.DMA[i], dEnd)
 		comp := p.Comp[i]
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			comp /= f
 		}
 		work := comp + p.Stall[i]
-		cEnd := s.cluster[chip].UseAfter(dEnd, work, nil)
+		cEnd := use(&s.cluster[chip], dEnd, work)
 		s.span(chip, "compute", cost.Name, cEnd-work, cEnd)
 		st.L2L1Cycles += p.DMA[i]
 		st.L2L1Bytes += p.L2L1Bytes[i]
@@ -863,18 +837,18 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 	return prevCd
 }
 
-// hopOn moves payload across one directed link resource of the given
-// interned link class — each edge transfers at its own class's rate
-// and setup cost, which is what lets one schedule mix fast local
-// links with a slow backhaul. Links touching a degraded chip (failure
+// hopOn moves payload across one directed link (its free-at time) of
+// the given interned link class — each edge transfers at its own
+// class's rate and setup cost, which is what lets one schedule mix
+// fast local links with a slow backhaul. Links touching a degraded chip (failure
 // injection) transfer at the configured fraction of nominal
 // bandwidth.
-func (s *Sim) hopOn(link *eventsim.Resource, from, to int, ready float64, payload int64, id int32) float64 {
+func (s *Sim) hopOn(link *float64, from, to int, ready float64, payload int64, id int32) float64 {
 	dur := s.classes[id].TransferCycles(s.freqHz, payload)
 	if f := s.degFactor; f > 0 && (from == s.degChip || to == s.degChip) {
 		dur /= f
 	}
-	end := link.UseAfter(ready, dur, nil)
+	end := use(link, ready, dur)
 	if s.tl != nil {
 		// Each tree edge is its own full-duplex PHY: trace it as its
 		// own exclusive resource. The labels are formatted only on the

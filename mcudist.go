@@ -2,8 +2,8 @@
 // Off-Chip Traffic for Transformers on Low-Power MCUs" (DATE 2025): a
 // tensor-parallel partitioning scheme that runs small transformers
 // across a network of Siracusa-like MCUs with no weight replication
-// and two synchronizations per block, an event-driven multi-chip
-// performance simulator, the paper's analytical energy model, and a
+// and two synchronizations per block, a multi-chip performance
+// simulator on per-device timelines, the paper's analytical energy model, and a
 // functional distributed executor that proves the partitioned network
 // computes exactly what the single-device network computes.
 //
