@@ -13,7 +13,7 @@ import (
 )
 
 // A device serializes its users FIFO: each usage queues behind the
-// earlier ones and the free-at time tracks the end of the queue.
+// earlier ones.
 func TestUseSerializesUsers(t *testing.T) {
 	var free float64
 	var spans [][2]float64
@@ -25,9 +25,26 @@ func TestUseSerializesUsers(t *testing.T) {
 	if !reflect.DeepEqual(spans, want) {
 		t.Fatalf("spans = %v, want %v", spans, want)
 	}
-	if free != 30 {
-		t.Fatalf("free-at = %g, want 30", free)
+}
+
+// The free-at time tracks the end of the queue of usages.
+func TestFreeAtTracksQueue(t *testing.T) {
+	var free float64
+	use(&free, 0, 10)
+	use(&free, 0, 5)
+	if free != 15 {
+		t.Fatalf("free-at = %g, want 15", free)
 	}
+}
+
+// A zero-duration usage ends where it starts and leaves the free-at
+// time unchanged.
+func TestZeroDurationUse(t *testing.T) {
+	var free float64
+	if end := use(&free, 0, 0); end != 0 || free != 0 {
+		t.Fatalf("zero-duration use on an idle device ended at %g (free-at %g), want 0", end, free)
+	}
+	use(&free, 0, 30)
 	if end := use(&free, 0, 0); end != 30 || free != 30 {
 		t.Fatalf("zero-duration use ended at %g (free-at %g), want 30", end, free)
 	}
