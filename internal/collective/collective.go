@@ -215,9 +215,9 @@ func (p Plan) String() string {
 }
 
 // MarshalText emits the flag-syntax spelling ("prefill=ring,decode=tree",
-// "uniform" for the zero plan), so JSON/CSV sinks — the persistent
-// result store among them — serialize a Plan readably instead of
-// dropping its unexported binding array.
+// "uniform" for the zero plan), so JSON and CSV output shows a Plan
+// readably instead of dropping its unexported binding array.
+// FuzzParsePlan pins that the spelling parses back to the same plan.
 func (p Plan) MarshalText() ([]byte, error) {
 	return []byte(p.String()), nil
 }

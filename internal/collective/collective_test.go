@@ -197,8 +197,8 @@ func TestWithPanicsOnInvalid(t *testing.T) {
 }
 
 // MarshalText must emit a spelling UnmarshalText restores bit for bit
-// — the property JSON sinks (the persistent result store among them)
-// rely on, since the binding array is unexported.
+// — the property JSON sinks rely on, since the binding array is
+// unexported.
 func TestPlanTextRoundTrip(t *testing.T) {
 	plans := []Plan{
 		{}, // zero plan: "uniform"
@@ -233,4 +233,23 @@ func mustParse(t *testing.T, s string) Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// FuzzParsePlan checks the plan parser: it never panics, and a plan it
+// accepts marshals to a spelling that parses back to the same plan.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatalf("%q parsed to %s, which does not marshal: %v", s, p, err)
+		}
+		back, err := ParsePlan(string(text))
+		if err != nil || back != p {
+			t.Fatalf("%q parsed to %s, marshaled as %q, parsed back to %s (err %v)", s, p, text, back, err)
+		}
+	})
 }

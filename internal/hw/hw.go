@@ -145,7 +145,8 @@ func ParseTopology(s string) (Topology, error) {
 }
 
 // MarshalText emits the canonical spelling, so JSON/CSV sinks print
-// "ring" instead of a bare int.
+// "ring" instead of a bare int; FuzzParseTopology pins that it parses
+// back.
 func (t Topology) MarshalText() ([]byte, error) {
 	if !t.Valid() {
 		return nil, fmt.Errorf("hw: cannot marshal invalid topology %d", int(t))

@@ -9,22 +9,29 @@
 //
 // Design points:
 //
-//   - Content addressing reuses the canonicalization pattern of
-//     hw.TableNetwork: a sha256 over an exact, deterministic rendering
-//     of every field of the configuration. Two Points collide on one
-//     entry exactly when the evalpool cache would have shared them.
+//   - One reflection walker (codec.go) defines the canonical binary
+//     encoding of a value: every leaf in field order, integers and
+//     float64 bits as 8 little-endian bytes, strings and slices
+//     length-prefixed. It is both the input of the digest and the
+//     stored report body, so a field added to the configuration
+//     reaches the digest and a field added to core.Report is
+//     persisted, bit-exactly, with no change here.
+//   - Content addressing follows hw.TableNetwork: a sha256 over that
+//     exact, deterministic encoding of every field of the
+//     configuration. Two Points collide on one entry exactly when the
+//     evalpool cache would have shared them.
 //   - The digest is versioned (DigestVersion participates in the hash,
 //     the digest string, the log filename, and every record), so any
 //     format or semantics change invalidates old entries cleanly
 //     instead of serving stale results.
-//   - The log is append-only JSON lines with a per-record CRC. A
-//     truncated or corrupt record — a crashed writer, a torn page — is
+//   - The log is append-only JSON lines, one record per line: a
+//     hand-encoded header (kind, version, digest, CRC) and the binary
+//     body as one base64 string. A truncated or corrupt record — a
+//     crashed writer, a torn page — fails its CRC or its decode and is
 //     skipped (the configuration is simply re-simulated), never fatal.
-//   - A report record's header — kind, version, digest and CRC, in the
-//     exact layout json.Marshal gave the v3 record — is part of the
-//     format. Open builds the index from each record's header and CRC
-//     without decoding the report, Append encodes the report once, and
-//     a disk hit decodes it once.
+//   - Open builds the index from each report record's header and CRC
+//     without decoding the body, and keeps one read handle open; a disk
+//     hit reads its line with ReadAt and decodes the body once.
 //   - Reports whose system routes over an explicit per-edge table
 //     (hw.NetTable) persist the table wiring alongside the entry, so a
 //     cold process rehydrates the registry before serving table-backed
@@ -43,15 +50,17 @@ package resultstore
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/base64"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"sync"
@@ -61,7 +70,7 @@ import (
 )
 
 // DigestVersion is the version of the digest scheme and the log
-// format. Bump it whenever the canonical rendering, the report schema,
+// format. Bump it whenever the canonical encoding, the report schema,
 // or the simulator's semantics change in a way that should invalidate
 // cached results; old entries (and old log files, which carry the
 // version in their name) are then ignored wholesale.
@@ -73,109 +82,131 @@ import (
 // v3: hw.Params gained the Mem hierarchy (profile, DRAM channel,
 // prefetch depth, SRAM banks, per-family tilings, DRAM energy), which
 // changes the canonical rendering of every system.
-const DigestVersion = 3
+//
+// v4: the digest hashes the binary canonical encoding (codec.go)
+// instead of the %#v rendering, so field names no longer reach it; the
+// report body is that encoding in base64 without the System/Workload
+// echo; table records carry a binary palette-and-triples body.
+const DigestVersion = 4
+
+// digestPrefix starts the bytes every Digest hashes.
+var digestPrefix = "mcudist-resultstore/v" + strconv.Itoa(DigestVersion) + "\x00"
 
 // Digest returns the canonical content address of one evaluation
-// point: a versioned sha256 over an exact rendering of every System
-// and Workload field (Go-syntax formatting reaches unexported fields
-// like the collective plan's binding array, and float64 values render
-// in shortest-round-trip form, so distinct bit patterns yield distinct
-// digests). Two configurations digest equally exactly when the
-// in-process evalpool cache would have shared their entry.
+// point: a versioned sha256 over the canonical encoding of every
+// System and Workload leaf — unexported ones like the collective
+// plan's binding array included, and float64 values as their bits, so
+// distinct bit patterns yield distinct digests. Two configurations
+// digest equally exactly when the in-process evalpool cache would have
+// shared their entry.
 func Digest(sys core.System, wl core.Workload) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "mcudist-resultstore/v%d\x00%#v\x00%#v\x00", DigestVersion, sys, wl)
-	return fmt.Sprintf("v%d-%x", DigestVersion, h.Sum(nil))
+	var buf [1024]byte
+	b := append(buf[:0], digestPrefix...)
+	b = appendValue(b, reflect.ValueOf(&sys).Elem())
+	b = appendValue(b, reflect.ValueOf(&wl).Elem())
+	sum := sha256.Sum256(b)
+	return "v" + strconv.Itoa(DigestVersion) + "-" + hex.EncodeToString(sum[:])
 }
 
-// record is one table line of the append-only log, and the JSON view
-// of any line that is not a valid report line of this version.
-type record struct {
-	// Kind is "report" or "table".
-	Kind string `json:"kind"`
-	// V is the digest/format version the record was written under;
-	// records from other versions are ignored on read.
-	V int `json:"v"`
+// The two record kinds. A record's body field is named after its kind.
+const (
+	kindReport = "report"
+	kindTable  = "table"
+)
 
-	// Table records: the hw.TableNetwork content digest and the edge
-	// list needed to re-register it in a cold process.
-	Table string      `json:"table,omitempty"`
-	Edges []tableEdge `json:"edges,omitempty"`
-}
+// lineHead and bodyKey are the fixed parts of a record line of each
+// kind (see appendLine).
+var lineHead, bodyKey = map[string][]byte{}, map[string][]byte{}
 
-// reportPrefix starts every report line of this version. A report
-// line is
-//
-//	{"kind":"report","v":3,"digest":"<digest>","crc":<crc>,"report":<report>}
-//
-// where <crc> is the CRC-32 (IEEE) of the compact <report> JSON and the
-// crc field is absent when that CRC is zero. This is byte for byte what
-// json.Marshal wrote for the v3 record struct, so the layout is part of
-// the v3 format.
-var reportPrefix = []byte(`{"kind":"report","v":` + strconv.Itoa(DigestVersion) + `,"digest":"`)
-
-// appendReportLine appends the report line for digest and the compact
-// report JSON body, newline included, to dst. The digest must need no
-// JSON escaping, as every Digest result does.
-func appendReportLine(dst []byte, digest string, body []byte) []byte {
-	// The rest of the header, a 10-digit CRC and the closing "}\n"
-	// take at most 30 bytes.
-	dst = slices.Grow(dst, len(reportPrefix)+len(digest)+len(body)+30)
-	dst = append(dst, reportPrefix...)
-	dst = append(dst, digest...)
-	dst = append(dst, '"')
-	if crc := crc32.ChecksumIEEE(body); crc != 0 {
-		dst = append(dst, `,"crc":`...)
-		dst = strconv.AppendUint(dst, uint64(crc), 10)
+func init() {
+	for _, kind := range []string{kindReport, kindTable} {
+		lineHead[kind] = []byte(`{"kind":"` + kind + `","v":` + strconv.Itoa(DigestVersion) + `,"digest":"`)
+		bodyKey[kind] = []byte(`,"` + kind + `":"`)
 	}
-	dst = append(dst, `,"report":`...)
-	dst = append(dst, body...)
-	return append(dst, "}\n"...)
 }
 
-// parseReportLine returns the digest and report body of one complete
-// report line of this version, its newline included. It decodes no
-// JSON: ok is true only when the line is exactly what appendReportLine
-// writes for that digest and body, so a torn, corrupt or
-// foreign-version line is never mistaken for a hit.
-func parseReportLine(line []byte) (digest, body []byte, ok bool) {
-	rest, found := bytes.CutPrefix(line, reportPrefix)
-	if !found {
-		return nil, nil, false
+// appendLine appends one record line, newline included, to dst:
+//
+//	{"kind":"<kind>","v":4,"digest":"<digest>","crc":<crc>,"<kind>":"<body>"}
+//
+// where <body> is the standard base64 of the record's binary body and
+// <crc> the CRC-32 (IEEE) of <digest> followed by <body>, so damage to
+// either is caught. The line is valid JSON and holds no newline, as
+// long as the digest needs no JSON escaping, which every Digest and hw
+// table digest satisfies.
+func appendLine(dst []byte, kind, digest string, body []byte) []byte {
+	// The CRC key, a 10-digit CRC and the closing "}\n" take at most
+	// 21 bytes.
+	dst = slices.Grow(dst, len(lineHead[kind])+len(digest)+len(bodyKey[kind])+len(body)+21)
+	dst = append(dst, lineHead[kind]...)
+	dst = append(dst, digest...)
+	crc := lineCRC(dst[len(dst)-len(digest):], body)
+	dst = append(dst, `","crc":`...)
+	dst = strconv.AppendUint(dst, uint64(crc), 10)
+	dst = append(dst, bodyKey[kind]...)
+	dst = append(dst, body...)
+	return append(dst, "\"}\n"...)
+}
+
+// parseLine returns the kind, digest and base64 body of one complete
+// record line of this version, its newline included. It decodes no
+// JSON: ok is true only when the line is exactly what appendLine
+// writes for that kind, digest and body, so a torn, corrupt or
+// foreign-version line is never mistaken for a record.
+func parseLine(line []byte) (kind string, digest, body []byte, ok bool) {
+	var rest []byte
+	for _, k := range []string{kindReport, kindTable} {
+		if r, found := bytes.CutPrefix(line, lineHead[k]); found {
+			kind, rest = k, r
+			break
+		}
+	}
+	if kind == "" {
+		return "", nil, nil, false
 	}
 	end := bytes.IndexByte(rest, '"')
 	if end <= 0 {
-		return nil, nil, false
+		return "", nil, nil, false
 	}
-	digest, rest = rest[:end], rest[end+1:]
+	digest, rest = rest[:end], rest[end:]
+	rest, found := bytes.CutPrefix(rest, []byte(`","crc":`))
+	if !found {
+		return "", nil, nil, false
+	}
 	var crc uint64
-	if r, found := bytes.CutPrefix(rest, []byte(`,"crc":`)); found {
-		n := 0
-		for ; n < len(r) && n <= 10 && '0' <= r[n] && r[n] <= '9'; n++ {
-			crc = crc*10 + uint64(r[n]-'0')
-		}
-		if n == 0 || r[0] == '0' || crc > math.MaxUint32 {
-			return nil, nil, false
-		}
-		rest = r[n:]
+	n := 0
+	for ; n < len(rest) && n <= 10 && '0' <= rest[n] && rest[n] <= '9'; n++ {
+		crc = crc*10 + uint64(rest[n]-'0')
 	}
-	if body, found = bytes.CutPrefix(rest, []byte(`,"report":`)); !found {
-		return nil, nil, false
+	if n == 0 || (rest[0] == '0' && n > 1) || crc > math.MaxUint32 {
+		return "", nil, nil, false
 	}
-	if body, found = bytes.CutSuffix(body, []byte("}\n")); !found {
-		return nil, nil, false
+	if body, found = bytes.CutPrefix(rest[n:], bodyKey[kind]); !found {
+		return "", nil, nil, false
 	}
-	if crc32.ChecksumIEEE(body) != uint32(crc) {
-		return nil, nil, false
+	if body, found = bytes.CutSuffix(body, []byte("\"}\n")); !found {
+		return "", nil, nil, false
 	}
-	return digest, body, true
+	if lineCRC(digest, body) != uint32(crc) {
+		return "", nil, nil, false
+	}
+	return kind, digest, body, true
 }
 
-// tableEdge is one wired edge of a persisted per-edge link table.
-type tableEdge struct {
-	From  int          `json:"from"`
-	To    int          `json:"to"`
-	Class hw.LinkClass `json:"class"`
+// lineCRC is the CRC-32 (IEEE) of a record's digest followed by its
+// base64 body.
+func lineCRC(digest, body []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(digest), crc32.IEEETable, body)
+}
+
+// decodeBase64 returns the bytes a record body encodes, or nil when
+// the body is not valid base64 (no record body decodes from nil).
+func decodeBase64(body []byte) []byte {
+	raw, err := base64.StdEncoding.AppendDecode(nil, body)
+	if err != nil {
+		return nil
+	}
+	return raw
 }
 
 // entryRef locates one report record inside the log.
@@ -192,6 +223,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	file     *os.File // O_APPEND write handle
+	rfile    *os.File // O_RDONLY handle: the scan, Load and CompactTo read through it
 	index    map[string]entryRef
 	tables   map[string]bool // table digests already persisted
 	skipped  int             // corrupt/truncated/foreign-version records ignored on open
@@ -213,28 +245,26 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
+	rf, err := os.Open(path)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("resultstore: %w", err)
+	}
 	s := &Store{
 		dir:    dir,
 		path:   path,
 		file:   f,
+		rfile:  rf,
 		index:  map[string]entryRef{},
 		tables: map[string]bool{},
 	}
-	if err := s.scan(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.scan()
 	return s, nil
 }
 
 // scan reads the existing log and builds the digest index.
-func (s *Store) scan() error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+func (s *Store) scan() {
+	r := bufio.NewReader(s.rfile)
 	var offset int64
 	for {
 		line, err := r.ReadBytes('\n')
@@ -250,41 +280,36 @@ func (s *Store) scan() error {
 			break
 		}
 	}
-	return nil
 }
 
 // indexLine folds one log line into the index: report lines from
 // their header and CRC alone, table lines by decoding them. Anything
-// else is skipped.
+// else — a torn or corrupt line, a record of another version — is
+// skipped.
 func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) {
-	if !complete {
+	kind, digest, body, ok := parseLine(line)
+	if !complete || !ok {
 		s.skipped++
 		return
 	}
-	if digest, _, ok := parseReportLine(line); ok {
+	if kind == kindReport {
 		s.index[string(digest)] = entryRef{offset: offset, length: length}
 		return
 	}
-	// Not a valid report line of this version: a table record, a
-	// record from another version, or damage.
-	var rec record
-	if json.Unmarshal(line, &rec) != nil || rec.V != DigestVersion || rec.Kind != "table" {
+	edges, ok := decodeTable(decodeBase64(body))
+	var net hw.Network
+	var err error
+	if ok {
+		net, err = hw.TableNetwork(edges)
+	}
+	if !ok || err != nil || net.TableDigest != string(digest) {
+		// The body is damaged, or its wiring does not reproduce the
+		// recorded digest. TableNetwork interned such a wiring under
+		// its actual content digest, which no entry references.
 		s.skipped++
 		return
 	}
-	edges := make(map[hw.Edge]hw.LinkClass, len(rec.Edges))
-	for _, e := range rec.Edges {
-		edges[hw.Edge{From: e.From, To: e.To}] = e.Class
-	}
-	net, err := hw.TableNetwork(edges)
-	if err != nil || net.TableDigest != rec.Table {
-		// The wiring does not reproduce its recorded digest: the
-		// record is damaged. TableNetwork interned it under its
-		// actual content digest, which no entry references.
-		s.skipped++
-		return
-	}
-	s.tables[rec.Table] = true
+	s.tables[net.TableDigest] = true
 }
 
 // Load returns the persisted report for the configuration, or ok=false
@@ -301,26 +326,21 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	if !ok {
 		return nil, false
 	}
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
 	line := make([]byte, ref.length)
-	if _, err := f.ReadAt(line, ref.offset); err != nil {
+	if _, err := s.rfile.ReadAt(line, ref.offset); err != nil {
 		return nil, false
 	}
-	d, body, ok := parseReportLine(line)
-	if !ok || string(d) != digest {
+	kind, d, body, ok := parseLine(line)
+	if !ok || kind != kindReport || string(d) != digest {
 		return nil, false
 	}
 	rep := &core.Report{}
-	if json.Unmarshal(body, rep) != nil {
+	if !decodeReport(decodeBase64(body), rep) {
 		return nil, false
 	}
-	// The requested configuration is the key; restating it exactly
-	// sidesteps any serialization asymmetry in the System/Workload
-	// echo (and makes the report self-describing for the caller).
+	// The requested configuration is the key, so the body does not
+	// store it: restating it makes the report self-describing for the
+	// caller.
 	rep.System = sys
 	rep.Workload = wl
 	return rep, true
@@ -353,13 +373,8 @@ func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) erro
 			return err
 		}
 	}
-	// json.Marshal output is already compact and HTML-escaped, so it
-	// goes into the line as is.
-	rb, err := json.Marshal(rep)
-	if err != nil {
-		return fmt.Errorf("resultstore: encode report: %w", err)
-	}
-	line := appendReportLine(nil, digest, rb)
+	body := base64.StdEncoding.AppendEncode(nil, appendReport(nil, rep))
+	line := appendLine(nil, kindReport, digest, body)
 	offset, err := s.writeLineLocked(line)
 	if err != nil {
 		return err
@@ -378,20 +393,8 @@ func (s *Store) appendTableLocked(tableDigest string) error {
 	if !ok {
 		return fmt.Errorf("resultstore: per-edge table %q is not registered", tableDigest)
 	}
-	rec := record{Kind: "table", V: DigestVersion, Table: tableDigest,
-		Edges: make([]tableEdge, 0, len(edges))}
-	for e, c := range edges {
-		rec.Edges = append(rec.Edges, tableEdge{From: e.From, To: e.To, Class: c})
-	}
-	// Canonical edge order, matching hw.TableNetwork's digest walk.
-	slices.SortFunc(rec.Edges, func(a, b tableEdge) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-	})
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("resultstore: encode table: %w", err)
-	}
-	if _, err := s.writeLineLocked(append(line, '\n')); err != nil {
+	body := base64.StdEncoding.AppendEncode(nil, appendTable(nil, edges))
+	if _, err := s.writeLineLocked(appendLine(nil, kindTable, tableDigest, body)); err != nil {
 		return err
 	}
 	s.tables[tableDigest] = true
@@ -455,46 +458,46 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, err := os.Open(s.path)
-	if err != nil {
+	if err := dst.copyFrom(s, tables, digests, refs); err != nil {
 		dst.Close()
-		return nil, fmt.Errorf("resultstore: %w", err)
+		return nil, err
 	}
-	defer src.Close()
+	return dst, nil
+}
 
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
+// copyFrom writes the given table wirings and then the report records
+// of src at refs, in the order given, into the empty store s.
+func (s *Store) copyFrom(src *Store, tables, digests []string, refs map[string]entryRef) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, t := range tables {
 		// The scan re-registered every persisted wiring, so the edges
 		// are available to re-encode.
-		if err := dst.appendTableLocked(t); err != nil {
-			dst.file.Close()
-			return nil, err
+		if err := s.appendTableLocked(t); err != nil {
+			return err
 		}
 	}
 	for _, digest := range digests {
 		ref := refs[digest]
 		line := make([]byte, ref.length)
-		if _, err := src.ReadAt(line, ref.offset); err != nil {
-			dst.file.Close()
-			return nil, fmt.Errorf("resultstore: compact read %s: %w", digest, err)
+		if _, err := src.rfile.ReadAt(line, ref.offset); err != nil {
+			return fmt.Errorf("resultstore: compact read %s: %w", digest, err)
 		}
 		// Re-validate before copying: the record was clean at scan
 		// time, but the bytes travel once more.
-		if d, _, ok := parseReportLine(line); !ok || string(d) != digest {
+		if kind, d, _, ok := parseLine(line); !ok || kind != kindReport || string(d) != digest {
 			continue
 		}
-		if _, ok := dst.index[digest]; ok {
+		if _, ok := s.index[digest]; ok {
 			continue
 		}
-		offset, err := dst.writeLineLocked(line)
+		offset, err := s.writeLineLocked(line)
 		if err != nil {
-			dst.file.Close()
-			return nil, err
+			return err
 		}
-		dst.index[digest] = entryRef{offset: offset, length: len(line)}
+		s.index[digest] = entryRef{offset: offset, length: len(line)}
 	}
-	return dst, nil
+	return nil
 }
 
 // sameDirAs reports whether two directory paths name the same place on
@@ -547,10 +550,11 @@ func (s *Store) SizeBytes() int64 {
 // Dir returns the cache directory the store was opened on.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the append handle. Load keeps working (it opens the
-// log per call), but Append fails after Close.
+// Close releases the append and read handles. Every later Load is a
+// miss and every later Append fails; Len, Skipped, Contains and
+// SizeBytes keep answering from the index and the file on disk.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.file.Close()
+	return errors.Join(s.file.Close(), s.rfile.Close())
 }
