@@ -3,6 +3,7 @@ package interconnect
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mcudist/internal/hw"
 )
@@ -276,7 +277,98 @@ func (s *Schedule) Validate() error {
 	if s.Root < 0 || s.Root >= s.N {
 		return fmt.Errorf("interconnect: root %d out of range", s.Root)
 	}
-	for _, h := range append(append([]Hop{}, s.Reduce...), s.Broadcast...) {
+	if err := s.checkHops(s.Reduce); err != nil {
+		return err
+	}
+	if err := s.checkHops(s.Broadcast); err != nil {
+		return err
+	}
+
+	// Symbolic reduce over bitsets: for each (chip, chunk) accumulator,
+	// once holds the chips whose original partial has been folded in
+	// exactly once and multi those folded in twice or more. An
+	// accumulated send moves the sender's live sets; a plain send moves
+	// only the sender's own contribution.
+	words := (s.N + 63) / 64
+	rows := s.N * s.Chunks
+	sets := make([]uint64, 2*rows*words)
+	once, multi := sets[:rows*words], sets[rows*words:]
+	row := func(set []uint64, chip, chunk int) []uint64 {
+		i := (chip*s.Chunks + chunk) * words
+		return set[i : i+words : i+words]
+	}
+	for c := 0; c < s.N; c++ {
+		for q := 0; q < s.Chunks; q++ {
+			row(once, c, q)[c/64] = 1 << (c % 64)
+		}
+	}
+	for _, h := range s.Reduce {
+		tOnce, tMulti := row(once, h.To, h.Chunk), row(multi, h.To, h.Chunk)
+		if !h.FromAccumulated {
+			w, b := h.From/64, uint64(1)<<(h.From%64)
+			tMulti[w] |= tOnce[w] & b
+			tOnce[w] = (tOnce[w] ^ b) &^ tMulti[w]
+			continue
+		}
+		sOnce, sMulti := row(once, h.From, h.Chunk), row(multi, h.From, h.Chunk)
+		for w := range tOnce {
+			tMulti[w] |= sMulti[w] | tOnce[w]&sOnce[w]
+			tOnce[w] = (tOnce[w] ^ sOnce[w]) &^ tMulti[w]
+		}
+	}
+	for _, f := range s.Final {
+		if f.Chip < 0 || f.Chip >= s.N || f.Chunk < 0 || f.Chunk >= s.Chunks {
+			return fmt.Errorf("interconnect: finalize (%d, chunk %d) out of range", f.Chip, f.Chunk)
+		}
+		if f.Frac <= 0 || f.Frac > 1 {
+			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
+		}
+		fOnce := row(once, f.Chip, f.Chunk)
+		for w := range fOnce {
+			valid := ^uint64(0)
+			if rest := s.N - 64*w; rest < 64 {
+				valid = 1<<rest - 1
+			}
+			if missing := ^fOnce[w] & valid; missing != 0 {
+				chip := 64*w + bits.TrailingZeros64(missing)
+				times := "0 times"
+				if row(multi, f.Chip, f.Chunk)[w]&(1<<(chip%64)) != 0 {
+					times = "more than once"
+				}
+				return fmt.Errorf("interconnect: chunk %d finalized on chip %d holds chip %d's partial %s, want exactly once",
+					f.Chunk, f.Chip, chip, times)
+			}
+		}
+	}
+	if len(s.Final) == 0 {
+		return fmt.Errorf("interconnect: no finalizing chip")
+	}
+
+	// Broadcast reachability: starting from the finalized (chip,
+	// chunk) pairs, every hop must forward an already-present chunk,
+	// and afterwards every chip must hold every chunk.
+	has := make([]bool, rows)
+	for _, f := range s.Final {
+		has[f.Chip*s.Chunks+f.Chunk] = true
+	}
+	for _, h := range s.Broadcast {
+		if !has[h.From*s.Chunks+h.Chunk] {
+			return fmt.Errorf("interconnect: broadcast hop %d->%d forwards chunk %d before receiving it",
+				h.From, h.To, h.Chunk)
+		}
+		has[h.To*s.Chunks+h.Chunk] = true
+	}
+	for i, ok := range has {
+		if !ok {
+			return fmt.Errorf("interconnect: chunk %d never reaches chip %d", i%s.Chunks, i/s.Chunks)
+		}
+	}
+	return nil
+}
+
+// checkHops checks each hop's indices, fraction and link class.
+func (s *Schedule) checkHops(hops []Hop) error {
+	for _, h := range hops {
 		if h.From < 0 || h.From >= s.N || h.To < 0 || h.To >= s.N || h.From == h.To {
 			return fmt.Errorf("interconnect: hop %d->%d out of range", h.From, h.To)
 		}
@@ -288,69 +380,6 @@ func (s *Schedule) Validate() error {
 		}
 		if !h.Class.Defined() {
 			return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
-		}
-	}
-
-	// Symbolic reduce: contrib[chip][chunk] counts how many times each
-	// original partial has been folded into the accumulator. An
-	// accumulated send moves the live set; a plain send moves only the
-	// sender's own contribution.
-	contrib := make([][]map[int]int, s.N)
-	for c := range contrib {
-		contrib[c] = make([]map[int]int, s.Chunks)
-		for q := range contrib[c] {
-			contrib[c][q] = map[int]int{c: 1}
-		}
-	}
-	for _, h := range s.Reduce {
-		sent := map[int]int{h.From: 1}
-		if h.FromAccumulated {
-			sent = contrib[h.From][h.Chunk]
-		}
-		for chip, cnt := range sent {
-			contrib[h.To][h.Chunk][chip] += cnt
-		}
-	}
-	for _, f := range s.Final {
-		if f.Chip < 0 || f.Chip >= s.N || f.Chunk < 0 || f.Chunk >= s.Chunks {
-			return fmt.Errorf("interconnect: finalize (%d, chunk %d) out of range", f.Chip, f.Chunk)
-		}
-		if f.Frac <= 0 || f.Frac > 1 {
-			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
-		}
-		for chip := 0; chip < s.N; chip++ {
-			if got := contrib[f.Chip][f.Chunk][chip]; got != 1 {
-				return fmt.Errorf("interconnect: chunk %d finalized on chip %d holds chip %d's partial %d times, want exactly once",
-					f.Chunk, f.Chip, chip, got)
-			}
-		}
-	}
-	if len(s.Final) == 0 {
-		return fmt.Errorf("interconnect: no finalizing chip")
-	}
-
-	// Broadcast reachability: starting from the finalized (chip,
-	// chunk) pairs, every hop must forward an already-present chunk,
-	// and afterwards every chip must hold every chunk.
-	has := make([][]bool, s.N)
-	for c := range has {
-		has[c] = make([]bool, s.Chunks)
-	}
-	for _, f := range s.Final {
-		has[f.Chip][f.Chunk] = true
-	}
-	for _, h := range s.Broadcast {
-		if !has[h.From][h.Chunk] {
-			return fmt.Errorf("interconnect: broadcast hop %d->%d forwards chunk %d before receiving it",
-				h.From, h.To, h.Chunk)
-		}
-		has[h.To][h.Chunk] = true
-	}
-	for c := 0; c < s.N; c++ {
-		for q := 0; q < s.Chunks; q++ {
-			if !has[c][q] {
-				return fmt.Errorf("interconnect: chunk %d never reaches chip %d", q, c)
-			}
 		}
 	}
 	return nil
