@@ -574,6 +574,23 @@ func BenchmarkSingleRun64Chips(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleRun64ChipsRing runs the tensor-parallel 64-chip
+// prompt pass over the ring all-reduce on the clustered network (4-chip
+// clusters, 10x slower backhaul): 8,064 hops per sync tile over two
+// link classes, the collective path the tree never exercises.
+func BenchmarkSingleRun64ChipsRing(b *testing.B) {
+	wl := core.Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt}
+	sys := core.DefaultSystem(64)
+	sys.HW.Topology = hw.TopoRing
+	sys.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(sys, wl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkResultStoreWarm measures a store-backed warm replay: the
 // paper's 1-8 chip TinyLlama sweep with the in-process memo dropped
 // each iteration, so every report is deserialized from the persistent

@@ -171,6 +171,9 @@ type Hop struct {
 	// zero class marks an unresolved/undefined edge; Validate rejects
 	// it.
 	Class hw.LinkClass
+	// ClassIdx is Class's index in the schedule's Classes, resolved
+	// with it (0 on a bare schedule, whose Classes is empty).
+	ClassIdx int
 }
 
 // ReduceHops returns the hops of the all-reduce in a valid dependency

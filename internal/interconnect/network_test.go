@@ -119,3 +119,24 @@ func TestValidateRejectsUndefinedEdge(t *testing.T) {
 		t.Errorf("error does not name the undefined edge: %v", err)
 	}
 }
+
+// Every annotated hop carries the index of its own class in the
+// schedule's Classes, which the simulator keys its prices on.
+func TestHopClassIdxIndexesClasses(t *testing.T) {
+	for _, topo := range hw.Topologies() {
+		p := netParams(topo, 4)
+		p.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+		sched, err := NewSchedule(p, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sched.Classes) != 2 {
+			t.Fatalf("%s: %d classes on the clustered network, want 2", topo, len(sched.Classes))
+		}
+		for _, h := range append(append([]Hop{}, sched.Reduce...), sched.Broadcast...) {
+			if h.ClassIdx < 0 || h.ClassIdx >= len(sched.Classes) || sched.Classes[h.ClassIdx] != h.Class {
+				t.Fatalf("%s: hop %d->%d has class index %d for %+v in %+v", topo, h.From, h.To, h.ClassIdx, h.Class, sched.Classes)
+			}
+		}
+	}
+}

@@ -116,12 +116,12 @@ func NewBareSchedule(topo hw.Topology, n, groupSize int) (*Schedule, error) {
 
 // annotate resolves each hop's link class under the network
 // description and collects the distinct classes in first-use order
-// (the per-class accounting axis of the simulator). Reduce hops are
-// resolved before broadcast hops, so class 0 is always the class of
-// the first reduce hop.
+// (the per-class accounting axis of the simulator), recording each
+// hop's index into them. Reduce hops are resolved before broadcast
+// hops, so class 0 is always the class of the first reduce hop.
 func (s *Schedule) annotate(net hw.Network) error {
 	s.Classes = nil
-	seen := map[hw.LinkClass]bool{}
+	index := map[hw.LinkClass]int{}
 	assign := func(hops []Hop) error {
 		for i := range hops {
 			c, err := net.LinkFor(hops[i].From, hops[i].To)
@@ -129,11 +129,13 @@ func (s *Schedule) annotate(net hw.Network) error {
 				return fmt.Errorf("interconnect: %s schedule over %d chips: hop %d->%d: %w",
 					s.Topology, s.N, hops[i].From, hops[i].To, err)
 			}
-			hops[i].Class = c
-			if !seen[c] {
-				seen[c] = true
+			id, ok := index[c]
+			if !ok {
+				id = len(s.Classes)
+				index[c] = id
 				s.Classes = append(s.Classes, c)
 			}
+			hops[i].Class, hops[i].ClassIdx = c, id
 		}
 		return nil
 	}

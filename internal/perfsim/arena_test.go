@@ -156,6 +156,25 @@ func TestWarmRunAllocatesOnlyResult(t *testing.T) {
 	}
 }
 
+// The ring's per-tile price table lives in the arena too: a warm ring
+// run over two link classes allocates only its Result.
+func TestWarmRingRunAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	d := arenaCase{strategy: partition.TensorParallel, chips: 64, topo: hw.TopoRing, mode: model.Prompt}.deploy(t)
+	d.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+	s := NewSim()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.Run(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 7 {
+		t.Errorf("warm 64-chip ring Sim.Run made %g allocations, want 7", allocs)
+	}
+}
+
 // One arena reused across shrinking and growing chip counts,
 // topologies, collective plans and strategies reports exactly what a
 // fresh arena reports for each run: no state leaks between runs.

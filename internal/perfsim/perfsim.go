@@ -177,10 +177,9 @@ type Sim struct {
 	d *deploy.Deployment
 	// sched is the run topology's schedule. lows holds it (always at
 	// index 0) plus one lowered schedule per topology the collective
-	// plan binds, each with its hops' class ids interned once at
-	// setup, so the per-sync hop loops index the class axis directly
-	// instead of hashing a LinkClass per hop; scheds maps a bound
-	// topology to its index in lows.
+	// plan binds, each with its hops' price slots resolved once at
+	// setup, so the per-sync hop loops index the tile's price table
+	// directly; scheds maps a bound topology to its index in lows.
 	sched  *interconnect.Schedule
 	lows   []loweredSched
 	scheds map[hw.Topology]int32
@@ -236,6 +235,14 @@ type Sim struct {
 	phaseBuf []float64
 	tiles    []int64
 	bcast    []int64
+	// A sync's prices, computed once and replayed on every hop:
+	// hopPrices holds one tile's transfers per price slot of the
+	// executing schedule, addPrices the reduce-add per distinct
+	// fraction, rootPrices the root work per distinct fraction (one
+	// row of len(rootWork) each).
+	hopPrices  []hopPrice
+	addPrices  []pricedCost
+	rootPrices []pricedCost
 
 	// Hardware scalars the per-kernel and per-hop paths read on every
 	// call, cached flat at setup so the hot path never copies the
@@ -260,12 +267,57 @@ type Sim struct {
 	tileRing   []float64
 }
 
-// loweredSched is one schedule bound for this run plus the run-local
-// interned id of every hop's link class, resolved once at setup.
+// loweredSched is one schedule bound for this run, with its hops
+// keyed for pricing once at setup. A hop's price depends only on its
+// fraction, its link class and the tile's payload, so a hop's price
+// slot is its fraction's index in fracs times len(classes) plus its
+// class index in the schedule: one sync prices each slot once per
+// tile instead of once per hop.
 type loweredSched struct {
-	sc     *interconnect.Schedule
-	reduce []int32 // class id per sc.Reduce hop
-	bcast  []int32 // class id per sc.Broadcast hop
+	sc      *interconnect.Schedule
+	classes []int32   // run-local class id per sc.Classes entry
+	fracs   []float64 // distinct fractions of the hops and Finals
+	reduce  []int32   // price slot per sc.Reduce hop
+	bcast   []int32   // price slot per sc.Broadcast hop
+	final   []int32   // fraction index per sc.Final entry
+}
+
+// fracID returns f's index in fracs, appending it when new.
+func (lo *loweredSched) fracID(f float64) int32 {
+	for i, g := range lo.fracs {
+		if g == f {
+			return int32(i)
+		}
+	}
+	lo.fracs = append(lo.fracs, f)
+	return int32(len(lo.fracs) - 1)
+}
+
+// appendSlots appends each hop's price slot to slots.
+func (lo *loweredSched) appendSlots(slots []int32, hops []interconnect.Hop) []int32 {
+	nc := int32(len(lo.classes))
+	for i := range hops {
+		slots = append(slots, lo.fracID(hops[i].Frac)*nc+int32(hops[i].ClassIdx))
+	}
+	return slots
+}
+
+// hopPrice is one price slot's transfer for the current tile: the
+// payload a reduce or broadcast hop moves and its nominal link time,
+// plus the slot's run-local class id and fraction index.
+type hopPrice struct {
+	reduce, bcast       int64
+	reduceDur, bcastDur float64
+	class, frac         int32
+}
+
+// pricedCost is a kernel cost as a chip executes it: the L2↔L1 bytes
+// and DMA time and the compute cycles, before any straggler slowdown.
+type pricedCost struct {
+	name   string
+	bytes  int64
+	dmaT   float64
+	cycles float64
 }
 
 // pipeHop is one lowered hop of the routed pipeline handoff chain: a
@@ -318,8 +370,8 @@ func use(free *float64, ready, dur float64) float64 {
 }
 
 // lowerSched registers one schedule for this run: its classes join the
-// accounting axis in declaration order and every hop's class id is
-// resolved through the intern map once, here, instead of per sync.
+// accounting axis in declaration order, and every hop's price slot is
+// resolved once, here, from the class index the schedule carries.
 func (s *Sim) lowerSched(sc *interconnect.Schedule) int32 {
 	idx := int32(len(s.lows))
 	if len(s.lows) < cap(s.lows) {
@@ -329,16 +381,25 @@ func (s *Sim) lowerSched(sc *interconnect.Schedule) int32 {
 	}
 	lo := &s.lows[idx]
 	lo.sc = sc
+	lo.classes = lo.classes[:0]
 	for _, c := range sc.Classes {
-		s.classIndex(c)
+		lo.classes = append(lo.classes, int32(s.classIndex(c)))
 	}
+	lo.fracs = lo.fracs[:0]
 	lo.reduce = lo.reduce[:0]
-	for i := range sc.Reduce {
-		lo.reduce = append(lo.reduce, int32(s.classIndex(sc.Reduce[i].Class)))
-	}
 	lo.bcast = lo.bcast[:0]
-	for i := range sc.Broadcast {
-		lo.bcast = append(lo.bcast, int32(s.classIndex(sc.Broadcast[i].Class)))
+	lo.final = lo.final[:0]
+	if len(sc.Classes) == 0 && len(sc.Reduce)+len(sc.Broadcast) > 0 {
+		// A bare schedule (the pipeline's) executes no hops. Its
+		// unresolved hops carry the zero class, which has always led
+		// the accounting axis.
+		s.classIndex(hw.LinkClass{})
+		return idx
+	}
+	lo.reduce = lo.appendSlots(lo.reduce, sc.Reduce)
+	lo.bcast = lo.appendSlots(lo.bcast, sc.Broadcast)
+	for _, f := range sc.Final {
+		lo.final = append(lo.final, lo.fracID(f.Frac))
 	}
 	return idx
 }
@@ -665,42 +726,55 @@ func carveInts(backing []int64, i, nc int) []int64 {
 	return backing[i*nc : (i+1)*nc : (i+1)*nc]
 }
 
-// execCost runs one kernel on a chip starting no earlier than t: tile
-// DMA and compute serialize, matching the stacked accounting.
-func (s *Sim) execCost(chip int, t float64, cost *kernels.Cost) float64 {
+// l2l1 prices a kernel's L2↔L1 traffic: its bytes and their DMA time.
+func (s *Sim) l2l1(cost *kernels.Cost) (int64, float64) {
 	bytes := cost.TotalL2L1Bytes()
+	if bytes <= 0 {
+		return bytes, 0
+	}
+	return bytes, kernels.DMATime(bytes, s.dmaL2BPC, s.dmaL2Setup, s.l1Tile)
+}
+
+// priceScaled prices a fraction of a kernel's cost (tile-level
+// collective work) once, for exec to replay on every chip that runs it.
+func (s *Sim) priceScaled(cost *kernels.Cost, frac float64) pricedCost {
+	scaled := kernels.Cost{
+		Cycles:      cost.Cycles * frac,
+		ActInBytes:  int64(float64(cost.ActInBytes) * frac),
+		ActOutBytes: int64(float64(cost.ActOutBytes) * frac),
+	}
+	bytes, dmaT := s.l2l1(&scaled)
+	return pricedCost{name: cost.Name, bytes: bytes, dmaT: dmaT, cycles: scaled.Cycles}
+}
+
+// execCost runs one kernel on a chip starting no earlier than t.
+func (s *Sim) execCost(chip int, t float64, cost *kernels.Cost) float64 {
+	bytes, dmaT := s.l2l1(cost)
+	return s.exec(chip, t, cost.Name, bytes, dmaT, cost.Cycles)
+}
+
+// exec runs one priced kernel on a chip starting no earlier than t:
+// tile DMA and compute serialize, matching the stacked accounting. A
+// straggler chip's compute is slowed here, per execution.
+func (s *Sim) exec(chip int, t float64, name string, bytes int64, dmaT, cycles float64) float64 {
 	if bytes > 0 {
-		dmaT := kernels.DMATime(bytes, s.dmaL2BPC, s.dmaL2Setup, s.l1Tile)
 		t = use(&s.dma[chip], t, dmaT)
-		s.span(chip, "dma-l2l1", cost.Name, t-dmaT, t)
+		s.span(chip, "dma-l2l1", name, t-dmaT, t)
 		s.stats[chip].L2L1Cycles += dmaT
 		s.stats[chip].L2L1Bytes += bytes
 	}
-	if cost.Cycles > 0 {
-		cycles := cost.Cycles
+	if cycles > 0 {
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			cycles /= f
 		}
 		t = use(&s.cluster[chip], t, cycles)
-		s.span(chip, "compute", cost.Name, t-cycles, t)
+		s.span(chip, "compute", name, t-cycles, t)
 		s.stats[chip].ComputeCycles += cycles
 	}
 	if t > s.stats[chip].End {
 		s.stats[chip].End = t
 	}
 	return t
-}
-
-// execScaled runs a fraction of a kernel's cost (tile-level collective
-// work).
-func (s *Sim) execScaled(chip int, t float64, cost *kernels.Cost, frac float64) float64 {
-	scaled := kernels.Cost{
-		Name:        cost.Name,
-		Cycles:      cost.Cycles * frac,
-		ActInBytes:  int64(float64(cost.ActInBytes) * frac),
-		ActOutBytes: int64(float64(cost.ActOutBytes) * frac),
-	}
-	return s.execCost(chip, t, &scaled)
 }
 
 // l3Time prices moving bytes over the off-chip path: the DRAM channel
@@ -837,18 +911,17 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 	return prevCd
 }
 
-// hopOn moves payload across one directed link (its free-at time) of
-// the given interned link class — each edge transfers at its own
-// class's rate and setup cost, which is what lets one schedule mix
-// fast local links with a slow backhaul. Links touching a degraded chip (failure
-// injection) transfer at the configured fraction of nominal
-// bandwidth.
-func (s *Sim) hopOn(link *float64, from, to int, ready float64, payload int64, id int32) float64 {
-	dur := s.classes[id].TransferCycles(s.freqHz, payload)
+// hop moves payload across the directed link from->to, taking dur
+// cycles at the nominal rate of its interned link class id — each edge
+// transfers at its own class's rate and setup cost, which is what lets
+// one schedule mix fast local links with a slow backhaul. Links
+// touching a degraded chip (failure injection) transfer at the
+// configured fraction of nominal bandwidth.
+func (s *Sim) hop(from, to int, ready float64, payload int64, dur float64, id int32) float64 {
 	if f := s.degFactor; f > 0 && (from == s.degChip || to == s.degChip) {
 		dur /= f
 	}
-	end := use(link, ready, dur)
+	end := use(s.link(from, to), ready, dur)
 	if s.tl != nil {
 		// Each tree edge is its own full-duplex PHY: trace it as its
 		// own exclusive resource. The labels are formatted only on the
@@ -919,6 +992,13 @@ func (s *Sim) schedFor(class collective.SyncClass) *loweredSched {
 // 2(N-1)-step chunk rotation needs the extra axis so a chip's send of
 // one chunk never waits on its concurrent receive of another.
 //
+// Pricing is hoisted out of the hop loops: the reduce-add and root
+// work are priced once per distinct fraction per sync, and each tile's
+// transfers once per (fraction, link class) price slot, so a hop only
+// applies the straggler and degraded-link slowdowns and occupies its
+// devices. The prices are the same pure functions of the same inputs,
+// so every result is bit-identical to pricing each hop afresh.
+//
 // The returned arrival slice is arena scratch: syncs alternate between
 // two buffers, so it stays valid across exactly one subsequent sync —
 // the only lifetime the phase loops need.
@@ -960,11 +1040,37 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	}
 	copy(arrive, ready)
 
+	// Every tile runs the same share of the reduce-add and the root
+	// work, so each is priced once per distinct fraction.
+	frac := 1.0 / float64(nt)
+	s.addPrices = s.addPrices[:0]
+	s.rootPrices = s.rootPrices[:0]
+	for _, f := range lo.fracs {
+		s.addPrices = append(s.addPrices, s.priceScaled(&s.d.ReduceAdd, frac*f))
+		for i := range rootWork {
+			s.rootPrices = append(s.rootPrices, s.priceScaled(&rootWork[i], frac*f))
+		}
+	}
+	nc := len(lo.classes)
+	if cap(s.hopPrices) < len(lo.fracs)*nc {
+		s.hopPrices = make([]hopPrice, len(lo.fracs)*nc)
+	}
+	prices := s.hopPrices[:len(lo.fracs)*nc]
+
 	chunks := sc.Chunks
 	partial := s.partial
 	has := s.has
 	for k := 0; k < nt; k++ {
-		frac := 1.0 / float64(nt)
+		for j := range prices {
+			f, c := j/nc, j%nc
+			p := &prices[j]
+			cls := &s.classes[lo.classes[c]]
+			p.reduce = interconnect.ScalePayload(tiles[k], lo.fracs[f])
+			p.bcast = interconnect.ScalePayload(bcastTiles[k], lo.fracs[f])
+			p.reduceDur = cls.TransferCycles(s.freqHz, p.reduce)
+			p.bcastDur = cls.TransferCycles(s.freqHz, p.bcast)
+			p.class, p.frac = lo.classes[c], int32(f)
+		}
 		for c := 0; c < n; c++ {
 			for q := 0; q < chunks; q++ {
 				partial[c*chunks+q] = ready[c]
@@ -973,21 +1079,23 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 		}
 		for i := range sc.Reduce {
 			h := &sc.Reduce[i]
+			p := &prices[lo.reduce[i]]
 			start := partial[h.From*chunks+h.Chunk]
 			if !h.FromAccumulated {
 				// All-to-all sends the original partial; only the
 				// receiver accumulates.
 				start = ready[h.From]
 			}
-			end := s.hopOn(s.link(h.From, h.To), h.From, h.To, start,
-				interconnect.ScalePayload(tiles[k], h.Frac), lo.reduce[i])
-			addEnd := s.execScaled(h.To, maxF(end, partial[h.To*chunks+h.Chunk]), &s.d.ReduceAdd, frac*h.Frac)
+			end := s.hop(h.From, h.To, start, p.reduce, p.reduceDur, p.class)
+			a := &s.addPrices[p.frac]
+			addEnd := s.exec(h.To, maxF(end, partial[h.To*chunks+h.Chunk]), a.name, a.bytes, a.dmaT, a.cycles)
 			partial[h.To*chunks+h.Chunk] = addEnd
 		}
-		for _, f := range sc.Final {
+		for j, f := range sc.Final {
 			t := partial[f.Chip*chunks+f.Chunk]
-			for i := range rootWork {
-				t = s.execScaled(f.Chip, t, &rootWork[i], frac*f.Frac)
+			row := s.rootPrices[int(lo.final[j])*len(rootWork):][:len(rootWork)]
+			for i := range row {
+				t = s.exec(f.Chip, t, row[i].name, row[i].bytes, row[i].dmaT, row[i].cycles)
 			}
 			if t > arrive[f.Chip] {
 				arrive[f.Chip] = t
@@ -996,8 +1104,8 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 		}
 		for i := range sc.Broadcast {
 			h := &sc.Broadcast[i]
-			end := s.hopOn(s.link(h.From, h.To), h.From, h.To, has[h.From*chunks+h.Chunk],
-				interconnect.ScalePayload(bcastTiles[k], h.Frac), lo.bcast[i])
+			p := &prices[lo.bcast[i]]
+			end := s.hop(h.From, h.To, has[h.From*chunks+h.Chunk], p.bcast, p.bcastDur, p.class)
 			if end > has[h.To*chunks+h.Chunk] {
 				has[h.To*chunks+h.Chunk] = end
 			}
@@ -1151,7 +1259,8 @@ func (s *Sim) runPipeline() float64 {
 			// direct hop on fully wired networks, multi-hop through
 			// surviving chips when the direct edge is missing.
 			for _, h := range s.pipeHops[s.pipeOff[c]:s.pipeOff[c+1]] {
-				t = s.hopOn(s.link(int(h.from), int(h.to)), int(h.from), int(h.to), t, actPayload, h.class)
+				t = s.hop(int(h.from), int(h.to), t, actPayload,
+					s.classes[h.class].TransferCycles(s.freqHz, actPayload), h.class)
 			}
 		}
 	}
