@@ -136,14 +136,23 @@ func (c arenaCase) deploy(t *testing.T) *deploy.Deployment {
 
 // A warm arena allocates only the Result it copies out: the Result
 // itself, LinkClasses, PerChip, the two per-chip class-counter
-// backings, ByClass and its per-link backing.
+// backings, ByClass and its per-link backing. The sync price tables
+// live in the arena too, which the 64-chip ring over two link classes
+// exercises.
 func TestWarmRunAllocatesOnlyResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
 	const resultAllocs = 7
-	for _, n := range []int{8, 64} {
-		d := arenaCase{strategy: partition.TensorParallel, chips: n, topo: hw.TopoTree, mode: model.Autoregressive}.deploy(t)
+	clustered := hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+	for _, c := range []struct {
+		n    int
+		topo hw.Topology
+	}{{8, hw.TopoTree}, {64, hw.TopoTree}, {64, hw.TopoRing}} {
+		d := arenaCase{strategy: partition.TensorParallel, chips: c.n, topo: c.topo, mode: model.Autoregressive}.deploy(t)
+		if c.topo == hw.TopoRing {
+			d.HW.Network = clustered
+		}
 		s := NewSim()
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := s.Run(d); err != nil {
@@ -151,27 +160,8 @@ func TestWarmRunAllocatesOnlyResult(t *testing.T) {
 			}
 		})
 		if allocs != resultAllocs {
-			t.Errorf("%d chips: warm Sim.Run made %g allocations, want %d", n, allocs, resultAllocs)
+			t.Errorf("%d chips %s: warm Sim.Run made %g allocations, want %d", c.n, c.topo, allocs, resultAllocs)
 		}
-	}
-}
-
-// The ring's per-tile price table lives in the arena too: a warm ring
-// run over two link classes allocates only its Result.
-func TestWarmRingRunAllocatesOnlyResult(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector adds allocations")
-	}
-	d := arenaCase{strategy: partition.TensorParallel, chips: 64, topo: hw.TopoRing, mode: model.Prompt}.deploy(t)
-	d.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
-	s := NewSim()
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.Run(d); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 7 {
-		t.Errorf("warm 64-chip ring Sim.Run made %g allocations, want 7", allocs)
 	}
 }
 

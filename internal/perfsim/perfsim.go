@@ -390,9 +390,9 @@ func (s *Sim) lowerSched(sc *interconnect.Schedule) int32 {
 	lo.bcast = lo.bcast[:0]
 	lo.final = lo.final[:0]
 	if len(sc.Classes) == 0 && len(sc.Reduce)+len(sc.Broadcast) > 0 {
-		// A bare schedule (the pipeline's) executes no hops. Its
-		// unresolved hops carry the zero class, which has always led
-		// the accounting axis.
+		// A bare schedule (the pipeline's) executes no hops, but its
+		// unresolved hops put the zero class first on the accounting
+		// axis, and the pipeline's reports carry it there.
 		s.classIndex(hw.LinkClass{})
 		return idx
 	}
